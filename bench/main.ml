@@ -100,7 +100,10 @@ let write_results path sections_run =
   let json =
     Obs.Json.obj
       [
-        (* /8 adds the obs-causal/* series (sampled causal tracing
+        (* /9 drops the perf/* series (the old-vs-new engine pairs),
+           the universal-service/unbatched-wait-free series and the
+           universal-service/summary batched_speedup field; /8 adds
+           the obs-causal/* series (sampled causal tracing
            overhead on the universal service, target <=5%); /7 adds the
            tt/* series (transposition + no-good census grid); /6 adds
            the universal-service/* series (batched vs un-batched
@@ -112,7 +115,7 @@ let write_results path sections_run =
            added shard_states / shard_imbalance / stripe_contention to
            the perf-par series; /3 added section_timings; /2 the
            provenance stamps; /1 fields unchanged. *)
-        ("schema", Obs.Json.str "wfs-bench/8");
+        ("schema", Obs.Json.str "wfs-bench/9");
         ("generated_unix_time", Obs.Json.float (Unix.time ()));
         ("domains_used", Obs.Json.int (Domain.recommended_domain_count ()));
         ("git_rev", Obs.Json.str (git_rev ()));
@@ -171,20 +174,37 @@ let time_once f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* The middle sample; for an even count, the mean of the two middle
+   samples. *)
+let median samples =
+  let a = Array.copy samples in
+  Array.sort Float.compare a;
+  let k = Array.length a in
+  if k land 1 = 1 then a.(k / 2) else (a.((k / 2) - 1) +. a.(k / 2)) /. 2.
+
 (* Median of [reps] wall-clock samples of [f].  The median resists
    outliers in both directions — a page-cache-warm fluke as much as a
    noisy neighbour — so the PR-over-PR series only moves when the
    workload does.  (The minimum, used through wfs-bench/4, tracks the
    fastest co-scheduling ever observed instead.) *)
 let median_time ~reps f =
-  let samples =
-    Array.init reps (fun _ ->
-        Gc.minor ();
-        snd (time_once f))
-  in
-  Array.sort Float.compare samples;
-  if reps land 1 = 1 then samples.(reps / 2)
-  else (samples.((reps / 2) - 1) +. samples.(reps / 2)) /. 2.
+  median
+    (Array.init reps (fun _ ->
+         Gc.minor ();
+         snd (time_once f)))
+
+(* An integer knob from the environment, clamped to [lo, hi].  A value
+   that does not parse stops the harness with exit 2, naming the
+   variable, instead of silently running at [default]. *)
+let env_int ~default ~lo ?(hi = max_int) name =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some v -> min hi (max lo v)
+      | None ->
+          Fmt.epr "%s: expected an integer, got %S@." name s;
+          exit 2)
 
 let counter_now name =
   Option.value ~default:0 (Obs.Metrics.counter_value name)
@@ -438,21 +458,17 @@ let universal_throughput () =
 
 (* ---------- U1-SVC: universal object service ---------- *)
 
-(* The acceptance pair for operation batching: the batched construction
-   (one consensus round threads every announced invocation) must be at
-   least as fast as the per-op un-batched one on the same workload, and
-   the closed-loop load harness behind [wfs load] must pass its
-   differential check with truncation active. *)
+(* The served construction on one workload: the batched wait-free
+   object (one consensus round threads every announced invocation)
+   against the lock-free snapshot log, plus the closed-loop load harness
+   behind [wfs load], which must pass its differential check with
+   truncation active. *)
 let universal_service () =
-  section "U1-SVC  universal object service: batched vs un-batched wait-free";
+  section "U1-SVC  universal object service: batched wait-free vs lock-free";
   let domains = 4 in
   let per_domain = 10_000 in
   let total = domains * per_domain in
-  let reps =
-    match Sys.getenv_opt "WFS_PERF_REPS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 5)
-    | None -> 5
-  in
+  let reps = env_int ~default:5 ~lo:1 "WFS_PERF_REPS" in
   let hist name =
     match List.assoc_opt name (Obs.Metrics.dump ()) with
     | Some (Obs.Metrics.D_histogram { d_count; d_sum; _ }) -> (d_count, d_sum)
@@ -460,16 +476,15 @@ let universal_service () =
   in
   let module C = Runtime.Seq_objects.Counter in
   let module WB = Runtime.Universal.Wait_free (C) in
-  let module WU = Runtime.Universal.Wait_free_unbatched (C) in
   let module LF = Runtime.Universal.Lock_free (C) in
-  (* Each rep times the three constructions back to back over fresh
+  (* Each rep times the two constructions back to back over fresh
      objects, metrics cold (this compares the constructions, not their
      instrumentation), and each construction's figure is the median of
      its reps.  Interleaving the reps — rather than timing all reps of
      one construction, then all of the next — exposes every
      construction to the same slow drift of the box (frequency
-     scaling, background load), which otherwise dominates the
-     batched/unbatched ratio on a shared single-core machine. *)
+     scaling, background load), which otherwise dominates their ratio
+     on a shared machine. *)
   let time_rep apply =
     let t0 = Obs.Clock.now_ns () in
     ignore
@@ -479,53 +494,38 @@ let universal_service () =
            done));
     float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9
   in
-  let names = [| "batched-wait-free"; "unbatched-wait-free"; "lock-free" |] in
+  let names = [| "batched-wait-free"; "lock-free" |] in
   let fresh i =
-    match i with
-    | 0 ->
-        let w = WB.create ~n:domains () in
-        fun ~pid -> ignore (WB.apply w ~pid C.Incr)
-    | 1 ->
-        let w = WU.create ~n:domains in
-        fun ~pid -> ignore (WU.apply w ~pid C.Incr)
-    | _ ->
-        let w = LF.create () in
-        fun ~pid:_ -> ignore (LF.apply w C.Incr)
+    if i = 0 then
+      let w = WB.create ~n:domains () in
+      fun ~pid -> ignore (WB.apply w ~pid C.Incr)
+    else
+      let w = LF.create () in
+      fun ~pid:_ -> ignore (LF.apply w C.Incr)
   in
-  let times = Array.make_matrix 3 reps infinity in
+  let times = Array.make_matrix 2 reps infinity in
   for rep = 0 to reps - 1 do
-    for i = 0 to 2 do
+    for i = 0 to 1 do
       times.(i).(rep) <- time_rep (fresh i)
     done
   done;
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let rate_of i =
-    let dt = median times.(i) in
-    let rate = float_of_int total /. dt /. 1000.0 in
-    Fmt.pr
-      "  %-42s %9.0f ops/ms   (%d ops in %.3fs, median of %d interleaved)@."
-      names.(i) rate total dt reps;
-    record_series
-      ("universal-service/" ^ names.(i))
-      (Obs.Json.obj
-         [
-           ("ops_per_ms", Obs.Json.float rate);
-           ("ops", Obs.Json.int total);
-           ("seconds", Obs.Json.float dt);
-           ("reps", Obs.Json.int reps);
-         ]);
-    rate
-  in
-  let batched_rate = rate_of 0 in
-  let unbatched_rate = rate_of 1 in
-  ignore (rate_of 2);
-  let speedup =
-    if unbatched_rate > 0. then batched_rate /. unbatched_rate else 1.0
-  in
+  Array.iteri
+    (fun i name ->
+      let dt = median times.(i) in
+      let rate = float_of_int total /. dt /. 1000.0 in
+      Fmt.pr
+        "  %-42s %9.0f ops/ms   (%d ops in %.3fs, median of %d interleaved)@."
+        name rate total dt reps;
+      record_series
+        ("universal-service/" ^ name)
+        (Obs.Json.obj
+           [
+             ("ops_per_ms", Obs.Json.float rate);
+             ("ops", Obs.Json.int total);
+             ("seconds", Obs.Json.float dt);
+             ("reps", Obs.Json.int reps);
+           ]))
+    names;
   (* batch-size / truncation telemetry from a short metrics-hot pass *)
   let wb = WB.create ~n:domains () in
   Obs.Metrics.with_hot (fun () ->
@@ -541,13 +541,11 @@ let universal_service () =
         if nodes = 0 then 1.0
         else float_of_int (riders1 - riders0) /. float_of_int nodes
       in
-      Fmt.pr
-        "  batched speedup %.2fx   avg batch %.2f   retained %d (window %d)@."
-        speedup avg_batch (WB.retained wb) (WB.window wb);
+      Fmt.pr "  avg batch %.2f   retained %d (window %d)@." avg_batch
+        (WB.retained wb) (WB.window wb);
       record_series "universal-service/summary"
         (Obs.Json.obj
            [
-             ("batched_speedup", Obs.Json.float speedup);
              ("avg_batch", Obs.Json.float avg_batch);
              ("retained", Obs.Json.int (WB.retained wb));
              ("window", Obs.Json.int (WB.window wb));
@@ -796,105 +794,6 @@ let randomized_series () =
     trials !agreements trials
     (float_of_int !total_flips /. float_of_int trials)
 
-(* ---------- PERF: engine old-vs-new, same run ---------- *)
-
-let perf () =
-  section
-    "PERF  state-space engine: interned keys + fused DP vs legacy two-pass";
-  (* Reps are overridable so CI can smoke-test this section at a tiny
-     budget (WFS_PERF_REPS=1) while local runs keep enough samples for a
-     stable minimum. *)
-  let reps =
-    match Sys.getenv_opt "WFS_PERF_REPS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 5)
-    | None -> 5
-  in
-  let time_pair name ~iters ~legacy ~fresh =
-    (* Warm both paths once, then keep the median over [reps] samples.
-       Each sample runs the workload [iters] times so the
-       sub-millisecond workloads are measurable with gettimeofday. *)
-    ignore (legacy ());
-    ignore (fresh ());
-    let sample f =
-      median_time ~reps (fun () ->
-          for _ = 1 to iters do
-            ignore (f ())
-          done)
-      /. float_of_int iters
-    in
-    let t_old = sample legacy in
-    (* search-size accounting for the new path: counter deltas across
-       the timed samples, normalized back to one call, so the json
-       carries work alongside seconds *)
-    let n0 = counter_now "solver.nodes" and s0 = counter_now "explorer.states" in
-    let t_new = sample fresh in
-    let calls = reps * iters in
-    let per_call d = (counter_now d - (if d = "solver.nodes" then n0 else s0)) / calls in
-    let nodes = per_call "solver.nodes" and states = per_call "explorer.states" in
-    let speedup = t_old /. t_new in
-    record_series ("perf/" ^ name)
-      (Obs.Json.obj
-         [
-           ("legacy_seconds", Obs.Json.float t_old);
-           ("new_seconds", Obs.Json.float t_new);
-           ("speedup", Obs.Json.float speedup);
-           ("reps", Obs.Json.int reps);
-           ("iters_per_rep", Obs.Json.int iters);
-           ("solver_nodes", Obs.Json.int nodes);
-           ("explorer_states", Obs.Json.int states);
-         ]);
-    Fmt.pr "  %-34s legacy %9.2f ms   new %9.2f ms   speedup %5.2fx@." name
-      (t_old *. 1e3) (t_new *. 1e3) speedup
-  in
-  (* Exhaustive verification: the explorer engines (interning + fused
-     DP vs the recursive two-pass reference). *)
-  let cas3 = Cas_consensus.protocol ~n:3 () in
-  let cas4 = Cas_consensus.protocol ~n:4 () in
-  let swap3 = Swap_consensus.protocol ~n:3 () in
-  time_pair "verify-cas-n3" ~iters:200
-    ~legacy:(fun () -> Protocol.verify ~legacy:true cas3)
-    ~fresh:(fun () -> Protocol.verify cas3);
-  time_pair "verify-cas-n4" ~iters:20
-    ~legacy:(fun () -> Protocol.verify ~legacy:true cas4)
-    ~fresh:(fun () -> Protocol.verify cas4);
-  time_pair "verify-mem-swap-n3" ~iters:2
-    ~legacy:(fun () -> Protocol.verify ~legacy:true swap3)
-    ~fresh:(fun () -> Protocol.verify swap3);
-  (* Strategy synthesis: interned view table vs raw (pid, view) keys on
-     the Theorem 11 instance. *)
-  let queue =
-    Queues.fifo ~name:"q"
-      ~initial:[ Value.str "a"; Value.str "b" ]
-      ~items:[ Value.str "a"; Value.str "b" ]
-      ()
-  in
-  let t11 = Solver.of_spec ~n:3 ~depth:1 queue in
-  time_pair "solver-queue-n3-d1" ~iters:1
-    ~legacy:(fun () -> Solver.solve_with_stats ~intern_views:false t11)
-    ~fresh:(fun () -> Solver.solve_with_stats t11);
-  let reg =
-    Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
-  in
-  let t2 = Solver.of_spec ~n:2 ~depth:3 reg in
-  time_pair "solver-register-n2-d3" ~iters:1
-    ~legacy:(fun () -> Solver.solve_with_stats ~intern_views:false t2)
-    ~fresh:(fun () -> Solver.solve_with_stats t2);
-  (* A census slice: two zoo objects through the full
-     initialization-quantified measurement, bounded so both paths do the
-     same work. *)
-  let census_slice ~intern_views () =
-    List.iter
-      (fun spec -> ignore (Census.measure ~max_nodes:200_000 ~intern_views spec))
-      [
-        Registers.test_and_set ();
-        Registers.atomic ~name:"r" ~init:(Value.int 0)
-          [ Value.int 0; Value.int 1 ];
-      ]
-  in
-  time_pair "census-slice" ~iters:1
-    ~legacy:(census_slice ~intern_views:false)
-    ~fresh:(census_slice ~intern_views:true)
-
 (* ---------- PERF-PAR: multicore verification speedup curves ---------- *)
 
 (* Largest domain count the curves exercise; the harness's [-j N] flag
@@ -910,17 +809,11 @@ let perf_par () =
     let base = List.filter (fun j -> j <= max_j) [ 1; 2; 4; 8 ] in
     if List.mem max_j base then base else base @ [ max_j ]
   in
-  (* Wall-clock curves need far fewer samples than the ns-level PERF
-     pairs; cap the reps so the default run stays affordable. *)
-  let reps =
-    match Sys.getenv_opt "WFS_PERF_REPS" with
-    | Some s -> ( try max 1 (min 3 (int_of_string s)) with Failure _ -> 3)
-    | None -> 3
-  in
+  (* Whole-census wall-clock curves are expensive per sample; cap the
+     reps so the default run stays affordable. *)
+  let reps = env_int ~default:3 ~lo:1 ~hi:3 "WFS_PERF_REPS" in
   let census_budget =
-    match Sys.getenv_opt "WFS_PAR_CENSUS_BUDGET" with
-    | Some s -> ( try max 10_000 (int_of_string s) with Failure _ -> 1_000_000)
-    | None -> 1_000_000
+    env_int ~default:1_000_000 ~lo:10_000 "WFS_PAR_CENSUS_BUDGET"
   in
   let best f = median_time ~reps f in
   (* Load-balance accounting around the timed reps: per-shard states
@@ -1009,11 +902,7 @@ let perf_por () =
   section
     "PERF-POR  partial-order reduction: search-size before/after at \
      identical verdicts (solver sleep-set cutoffs + explorer sleep sets)";
-  let budget =
-    match Sys.getenv_opt "WFS_POR_BUDGET" with
-    | Some s -> ( try max 10_000 (int_of_string s) with Failure _ -> 2_000_000)
-    | None -> 2_000_000
-  in
+  let budget = env_int ~default:2_000_000 ~lo:10_000 "WFS_POR_BUDGET" in
   (* The acceptance workload: the full solver census, unreduced vs
      reduced, at the same node budget.  Verdicts, winning inits and the
      printed table must match row for row; only node counts change. *)
@@ -1123,11 +1012,7 @@ let perf_tt () =
   section
     "PERF-TT  transposition table + σ-footprint no-good learning: census \
      node counts across the {por, tt} grid at identical verdicts";
-  let budget =
-    match Sys.getenv_opt "WFS_TT_BUDGET" with
-    | Some s -> ( try max 10_000 (int_of_string s) with Failure _ -> 2_000_000)
-    | None -> 2_000_000
-  in
+  let budget = env_int ~default:2_000_000 ~lo:10_000 "WFS_TT_BUDGET" in
   let tt_counters () =
     ( counter_now "solver.tt.hits",
       counter_now "solver.tt.misses",
@@ -1407,11 +1292,7 @@ let fault_bench () =
 
 let profile_overhead () =
   section "PROFILE  span profiler overhead: off vs enabled (target <=5%)";
-  let reps =
-    match Sys.getenv_opt "WFS_PERF_REPS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 5)
-    | None -> 5
-  in
+  let reps = env_int ~default:5 ~lo:1 "WFS_PERF_REPS" in
   let best ~iters f =
     ignore (f ());
     let t = ref infinity in
@@ -1579,11 +1460,7 @@ let profile_overhead () =
 
 let obs_causal () =
   section "OBS-CAUSAL  sampled causal tracing: off vs on (target <=5%)";
-  let reps =
-    match Sys.getenv_opt "WFS_PERF_REPS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 5)
-    | None -> 5
-  in
+  let reps = env_int ~default:5 ~lo:1 "WFS_PERF_REPS" in
   let module WC = Runtime.Universal.Wait_free (Runtime.Seq_objects.Counter) in
   let ops = 100_000 in
   let run () =
@@ -1666,7 +1543,6 @@ let sections : (string * (unit -> unit)) list =
     ("randomized", randomized_series);
     ("lamport", lamport_queue_bench);
     ("fault", fault_bench);
-    ("perf", perf);
     ("perf-par", perf_par);
     ("perf-por", perf_por);
     ("perf-tt", perf_tt);

@@ -44,7 +44,7 @@ val of_spec :
     remaining (not consumed) step budget, which is what makes entries
     transpose across different depth bounds; σ-footprints keep reuse
     sound even though each solve grows a fresh strategy table.  Only
-    consulted on the default interned-σ path with [tt] on. *)
+    consulted with [tt] on. *)
 module Ctx : sig
   type t
 
@@ -56,12 +56,8 @@ end
 
 (** [solve inst] runs the search.  [prune_agreement] (default true) fails
     conflicting decisions at decide time instead of at terminal states —
-    the ablation measured in the benchmarks.  [intern_views] (default
-    true) keys the strategy table by interned view ids
-    ([Wfs_sim.Intern], full-depth hashing) instead of raw
-    [(pid, view)] values — identical verdicts and synthesized
-    strategies, faster lookups on deep views; [false] is the reference
-    path used by differential tests and the PERF benchmarks.
+    the ablation measured in the benchmarks.  The strategy table is
+    keyed by interned view ids ([Wfs_sim.Intern], full-depth hashing).
 
     [por] (default true) enables sleep-set pruning of scheduler
     branches dominated under the semantic independence relation
@@ -77,9 +73,9 @@ end
     actually consulted, and conflict analysis backjumps past
     existential choice points a refutation never touched — identical
     verdicts and synthesized strategies, far fewer nodes.  [ctx]
-    (requires [tt] and the default [intern_views]; must match the
-    instance's [n]) shares arenas and the transposition store across
-    solves, as the census does per row.
+    (consulted only with [tt]; must match the instance's [n]) shares
+    arenas and the transposition store across solves, as the census
+    does per row.
 
     Node counts differ across [por]/[tt] settings, so [Out_of_budget]
     instances may become conclusive; [por:false] with [tt:false]
@@ -88,14 +84,12 @@ end
     Each run feeds [solver.runs], [solver.nodes],
     [solver.cutoff.sleep], the [solver.tt.hits] /
     [solver.tt.misses] / [solver.tt.footprint_rejects] /
-    [solver.tt.backjumps] family and (interned path)
-    [solver.view_intern.hits] / [solver.view_intern.lookups] /
-    [solver.view_intern.arena_size] in the default [Wfs_obs.Metrics]
-    registry. *)
+    [solver.tt.backjumps] family and [solver.view_intern.hits] /
+    [solver.view_intern.lookups] / [solver.view_intern.arena_size] in
+    the default [Wfs_obs.Metrics] registry. *)
 val solve :
   ?max_nodes:int ->
   ?prune_agreement:bool ->
-  ?intern_views:bool ->
   ?por:bool ->
   ?tt:bool ->
   ?ctx:Ctx.t ->
@@ -106,7 +100,6 @@ val solve :
 val solve_with_stats :
   ?max_nodes:int ->
   ?prune_agreement:bool ->
-  ?intern_views:bool ->
   ?por:bool ->
   ?tt:bool ->
   ?ctx:Ctx.t ->

@@ -1,9 +1,10 @@
-(* Differential tests for the engine overhaul: the interned fused-DP
-   explorer and the interned solver strategy table must be
-   observationally identical to their legacy reference paths, on every
-   protocol in the registry and on the canonical solver instances.
-   Also: the symmetry quotient agrees with the full graph on every
-   verdict, and the interner's properties hold under qcheck. *)
+(* Differential tests for the engines: the interned fused-DP explorer
+   must be observationally identical to the naive reference explorer
+   ([Naive_explorer]) on every protocol in the registry, and the solver
+   must reproduce fixed verdicts, strategies and node counts on the
+   canonical instances.  Also: the symmetry quotient agrees with the
+   full graph on every verdict, and the interner's properties hold
+   under qcheck. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -12,7 +13,7 @@ open Wfs_hierarchy
 
 let value = Alcotest.testable Value.pp Value.equal
 
-(* --- explorer: fast engine vs legacy reference --- *)
+(* --- explorer: engine vs naive reference --- *)
 
 (* Terminals are reported as a set; compare them order-insensitively
    through their canonical encodings. *)
@@ -75,33 +76,51 @@ let registry_protocols () =
 let test_explorer_differential () =
   List.iter
     (fun (name, (p : Protocol.t)) ->
-      let run ?max_states ?max_depth legacy =
-        Explorer.explore ?max_states ?max_depth ~legacy p.Protocol.config
-      in
-      check_stats_equal name (run true) (run false);
+      let cfg = p.Protocol.config in
+      check_stats_equal name
+        (Naive_explorer.explore cfg)
+        (Explorer.explore cfg);
       check_stats_equal
         (name ^ " [max_states=40]")
-        (run ~max_states:40 true) (run ~max_states:40 false);
+        (Naive_explorer.explore ~max_states:40 cfg)
+        (Explorer.explore ~max_states:40 cfg);
       check_stats_equal
         (name ^ " [max_depth=3]")
-        (run ~max_depth:3 true) (run ~max_depth:3 false))
+        (Naive_explorer.explore ~max_depth:3 cfg)
+        (Explorer.explore ~max_depth:3 cfg))
     (registry_protocols ())
 
+(* [Protocol.verify]'s report, re-derived from the reference stats. *)
 let test_verify_differential () =
   List.iter
     (fun (name, p) ->
-      let a = Protocol.verify ~legacy:true p in
-      let b = Protocol.verify p in
+      let o = Naive_explorer.explore p.Protocol.config in
+      let r = Protocol.verify p in
+      let decided (t : Explorer.terminal) =
+        List.filter_map Fun.id (Array.to_list t.Explorer.decisions)
+      in
+      let agrees t =
+        match decided t with
+        | [] -> true
+        | d :: rest -> List.for_all (Value.equal d) rest
+      in
       Alcotest.(check bool)
-        (name ^ ": agreement") a.Protocol.agreement b.Protocol.agreement;
+        (name ^ ": agreement")
+        (List.for_all agrees o.Explorer.terminals)
+        r.Protocol.agreement;
       Alcotest.(check bool)
-        (name ^ ": validity") a.Protocol.validity b.Protocol.validity;
+        (name ^ ": validity")
+        (o.Explorer.invalid_decisions = [])
+        r.Protocol.validity;
       Alcotest.(check bool)
-        (name ^ ": wait_free") a.Protocol.wait_free b.Protocol.wait_free;
-      Alcotest.(check int) (name ^ ": states") a.Protocol.states b.Protocol.states;
+        (name ^ ": wait_free") (Explorer.wait_free o) r.Protocol.wait_free;
+      Alcotest.(check int)
+        (name ^ ": states") o.Explorer.states r.Protocol.states;
       Alcotest.(check (list value))
         (name ^ ": decisions_seen")
-        a.Protocol.decisions_seen b.Protocol.decisions_seen)
+        (List.sort_uniq Value.compare
+           (List.concat_map decided o.Explorer.terminals))
+        r.Protocol.decisions_seen)
     (registry_protocols ())
 
 (* --- symmetry quotient vs full graph ---
@@ -197,11 +216,11 @@ let test_symmetry () =
 (* --- symmetry quotient combined with a crash budget ---
 
    Crash transitions are symmetric too (any orbit member may crash), so
-   the quotient remains sound under fault injection.  The legacy engine
-   has no symmetry support (the flag is documented as ignored), so the
-   reference comparison is two-legged: fast = legacy exactly on the
-   full crash-augmented graph, and the crash-augmented quotient agrees
-   with that reference graph on every verdict. *)
+   the quotient remains sound under fault injection.  The reference
+   explorer has no symmetry support, so the comparison is two-legged:
+   engine = reference exactly on the full crash-augmented graph, and
+   the crash-augmented quotient agrees with that graph on every
+   verdict. *)
 
 let test_symmetry_with_crashes () =
   List.iter
@@ -210,10 +229,10 @@ let test_symmetry_with_crashes () =
         (fun (cname, config) ->
           let name = Fmt.str "%s n=%d crashes=1" cname n in
           let full = Explorer.explore ~crashes:1 config in
-          (* fast vs legacy on the full crash-augmented graph *)
+          (* engine vs reference on the full crash-augmented graph *)
           check_stats_equal
             (name ^ " [full]")
-            (Explorer.explore ~legacy:true ~crashes:1 config)
+            (Naive_explorer.explore ~crashes:1 config)
             full;
           (* crash-augmented quotient vs the full graph *)
           let quot = Explorer.explore ~symmetry:true ~crashes:1 config in
@@ -246,12 +265,12 @@ let test_symmetry_with_crashes () =
         ])
     [ 2; 3 ]
 
-(* --- solver: interned view table vs raw (pid, view) keys --- *)
+(* --- solver: fixed verdicts, strategies and node counts --- *)
 
 let action_str a = Fmt.str "%a" Solver.pp_action a
 
 let assignment_sig (a : Solver.assignment) =
-  Fmt.str "P%d @ %a -> %s" a.Solver.pid Value.pp a.Solver.view
+  Fmt.str "P%d %a -> %s" a.Solver.pid Value.pp a.Solver.view
     (action_str a.Solver.chosen)
 
 let verdict_sig = function
@@ -260,34 +279,72 @@ let verdict_sig = function
   | Solver.Solvable assignments ->
       "SOLVABLE" :: List.sort String.compare (List.map assignment_sig assignments)
 
-let check_solver_differential name inst =
-  let v_legacy, n_legacy =
-    Solver.solve_with_stats ~intern_views:false inst
-  in
-  let v_interned, n_interned = Solver.solve_with_stats inst in
-  Alcotest.(check (list string))
-    (name ^ ": verdict + strategy")
-    (verdict_sig v_legacy) (verdict_sig v_interned);
-  Alcotest.(check int) (name ^ ": nodes") n_legacy n_interned
+let register () =
+  Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
+
+(* pre-loaded, as in Theorem 9's protocol *)
+let queue () =
+  Queues.fifo ~name:"q"
+    ~initial:[ Value.str "a"; Value.str "b" ]
+    ~items:[ Value.str "a"; Value.str "b" ]
+    ()
+
+(* The canonical instances and their fixed oracle: the verdict and
+   synthesized strategy, identical under every (por, tt) setting, and
+   the node count under each.  A change to the search that moves a
+   count must update it here deliberately. *)
+let solver_baseline =
+  [
+    (* Theorem 2: registers cannot solve 2-consensus. *)
+    ( "T2 register n=2 d=2",
+      (fun () -> Solver.of_spec ~n:2 ~depth:2 (register ())),
+      [ "UNSOLVABLE" ],
+      [ ((true, true), 2779); ((true, false), 4212);
+        ((false, true), 7573); ((false, false), 10021) ] );
+    (* Theorem 9: a pre-loaded queue solves 2-consensus. *)
+    ( "T9 queue n=2 d=2",
+      (fun () -> Solver.of_spec ~n:2 ~depth:2 (queue ())),
+      [
+        "SOLVABLE";
+        {|P0 ["a"] -> q.deq|};
+        {|P0 ["b"; "a"] -> decide P0|};
+        {|P0 ["b"] -> q.deq|};
+        {|P0 ["empty"; "a"] -> decide P0|};
+        {|P0 ["empty"; "b"] -> decide P0|};
+        {|P0 ["empty"; "empty"] -> decide P1|};
+        {|P0 ["empty"] -> q.deq|};
+        {|P0 [] -> q.deq|};
+        {|P1 ["a"] -> q.deq|};
+        {|P1 ["b"; "a"] -> decide P1|};
+        {|P1 ["b"] -> q.deq|};
+        {|P1 ["empty"; "a"] -> decide P0|};
+        {|P1 ["empty"; "b"] -> decide P0|};
+        {|P1 ["empty"; "empty"] -> decide P0|};
+        {|P1 ["empty"] -> q.deq|};
+        {|P1 [] -> q.deq|};
+      ],
+      [ ((true, true), 41); ((true, false), 41);
+        ((false, true), 76); ((false, false), 76) ] );
+    (* Theorem 11: queues cannot solve 3-consensus. *)
+    ( "T11 queue n=3 d=1",
+      (fun () -> Solver.of_spec ~n:3 ~depth:1 (queue ())),
+      [ "UNSOLVABLE" ],
+      [ ((true, true), 345); ((true, false), 934);
+        ((false, true), 4146); ((false, false), 4394) ] );
+  ]
+
+let check_solver_differential (name, inst, expected_sig, nodes) =
+  List.iter
+    (fun ((por, tt), expected_nodes) ->
+      let combo = Fmt.str "%s [por=%b tt=%b]" name por tt in
+      let v, n = Solver.solve_with_stats ~por ~tt (inst ()) in
+      Alcotest.(check (list string))
+        (combo ^ ": verdict + strategy") expected_sig (verdict_sig v);
+      Alcotest.(check int) (combo ^ ": nodes") expected_nodes n)
+    nodes
 
 let test_solver_differential () =
-  let reg =
-    Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
-  in
-  let queue ?(initial = []) () =
-    Queues.fifo ~name:"q" ~initial ~items:[ Value.str "a"; Value.str "b" ] ()
-  in
-  (* Theorem 2: registers cannot solve 2-consensus. *)
-  check_solver_differential "T2 register n=2 d=2"
-    (Solver.of_spec ~n:2 ~depth:2 reg);
-  (* Theorem 9: a pre-loaded queue solves 2-consensus. *)
-  check_solver_differential "T9 queue n=2 d=2"
-    (Solver.of_spec ~n:2 ~depth:2
-       (queue ~initial:[ Value.str "a"; Value.str "b" ] ()));
-  (* Theorem 11: queues cannot solve 3-consensus. *)
-  check_solver_differential "T11 queue n=3 d=1"
-    (Solver.of_spec ~n:3 ~depth:1
-       (queue ~initial:[ Value.str "a"; Value.str "b" ] ()))
+  List.iter check_solver_differential solver_baseline
 
 (* --- interner and full-depth hash properties --- *)
 
@@ -336,6 +393,8 @@ let suite =
   [
     ( "engine.differential",
       [
+        (* "legacy" is the two-pass engine the explorer replaced, now
+           the [Naive_explorer] oracle *)
         Alcotest.test_case "explorer: legacy = fast on registry" `Quick
           test_explorer_differential;
         Alcotest.test_case "verify: legacy = fast reports" `Quick
@@ -343,7 +402,7 @@ let suite =
         Alcotest.test_case "symmetry quotient agrees" `Quick test_symmetry;
         Alcotest.test_case "symmetry quotient under crash faults" `Quick
           test_symmetry_with_crashes;
-        Alcotest.test_case "solver: raw = interned views" `Quick
+        Alcotest.test_case "solver: fixed verdicts and node counts" `Quick
           test_solver_differential;
       ] );
     ("engine.intern", qsuite);

@@ -1,7 +1,8 @@
 (* Differential and unit tests for the transposition/no-good layer: the
    cached search must be observationally identical to the chronological
    one.  Verdicts and synthesized strategies match across every
-   {por, tt, intern_views} combination while node counts only shrink;
+   {por, tt} combination while node counts only shrink, and equal the
+   fixed baseline counts where one is recorded;
    the footprint machinery in [Tt] is exercised directly (validation,
    overflow, taint, mask subsumption, eviction); budget exhaustion still
    flushes the node counters; and the census critical-depth binary
@@ -12,17 +13,14 @@ open Wfs_hierarchy
 
 let verdict_sig = Test_perf_engine.verdict_sig
 
-(* --- solver: tt = no-tt verdicts, across the por/backend grid --- *)
+(* --- solver: tt = no-tt verdicts, across the por grid --- *)
 
-(* The four {por, tt} ablations plus the legacy (raw (pid, view) keyed)
-   backend with tt on: same verdict and strategy everywhere; the cached
-   searches never explore more nodes than their uncached counterparts;
-   and the two σ backends agree node for node (position canonicalization
-   is backend-independent). *)
+(* The four {por, tt} ablations: same verdict and strategy everywhere;
+   the cached searches never explore more nodes than their uncached
+   counterparts; and every count equals the fixed baseline of
+   [Test_perf_engine.solver_baseline] when the instance has one. *)
 let check_grid name inst =
-  let solve ?(intern_views = true) ~por ~tt () =
-    Solver.solve_with_stats ~intern_views ~por ~tt inst
-  in
+  let solve ~por ~tt () = Solver.solve_with_stats ~por ~tt inst in
   let v_ref, n_ref = solve ~por:false ~tt:false () in
   let sig_ref = verdict_sig v_ref in
   let check_combo combo (v, n) =
@@ -34,27 +32,31 @@ let check_grid name inst =
   let n_tt = check_combo "tt" (solve ~por:false ~tt:true ()) in
   let n_por = check_combo "por" (solve ~por:true ~tt:false ()) in
   let n_both = check_combo "por+tt" (solve ~por:true ~tt:true ()) in
-  let n_legacy =
-    check_combo "legacy tt" (solve ~intern_views:false ~por:false ~tt:true ())
-  in
   Alcotest.(check bool)
     (name ^ ": tt no more nodes than chronological")
     true (n_tt <= n_ref);
   Alcotest.(check bool)
     (name ^ ": por+tt no more nodes than por alone")
     true (n_both <= n_por);
-  Alcotest.(check int)
-    (name ^ ": legacy and interned tt agree node for node")
-    n_tt n_legacy
+  match
+    List.find_opt
+      (fun (base, _, _, _) -> base = name)
+      Test_perf_engine.solver_baseline
+  with
+  | None -> ()
+  | Some (_, _, _, nodes) ->
+      Alcotest.(check (list (pair (pair bool bool) int)))
+        (name ^ ": node counts match the fixed baseline")
+        nodes
+        [
+          ((true, true), n_both);
+          ((true, false), n_por);
+          ((false, true), n_tt);
+          ((false, false), n_ref);
+        ]
 
-let register () =
-  Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
-
-let queue () =
-  Queues.fifo ~name:"q"
-    ~initial:[ Value.str "a"; Value.str "b" ]
-    ~items:[ Value.str "a"; Value.str "b" ]
-    ()
+let register = Test_perf_engine.register
+let queue = Test_perf_engine.queue
 
 let test_solver_grid () =
   check_grid "T2 register n=2 d=2" (Solver.of_spec ~n:2 ~depth:2 (register ()));
