@@ -771,6 +771,70 @@ let test_bounded_log_memory () =
   Alcotest.(check int) "counter value" (domains * per_domain) (W.read w);
   Alcotest.(check bool) "watermark advanced" true (W.watermark w > 0)
 
+(* every apply takes a ticket, and a fast-path invocation that loses its
+   race takes a second one when it re-issues through announce + help, so
+   under contention the count covers every operation *)
+let test_tickets_cover_contended_applies () =
+  let module W = Universal_rt.Wait_free (Seq_objects.Counter) in
+  let w = W.create ~n:domains () in
+  let per_domain = 500 in
+  ignore
+    (P.run_domains domains (fun pid ->
+         for _ = 1 to per_domain do
+           ignore (W.apply w ~pid Seq_objects.Counter.Incr)
+         done));
+  let total = domains * per_domain in
+  Alcotest.(check bool)
+    (Printf.sprintf "tickets %d >= %d" (W.tickets_issued w) total)
+    true
+    (W.tickets_issued w >= total);
+  Alcotest.(check int) "no op lost" total (W.length w);
+  Alcotest.(check int) "counter value" total (W.read w)
+
+(* the tightest truncation window snapshots at every fill: the queue
+   still conserves items and hands out each log position exactly once *)
+let test_wait_free_queue_window_one () =
+  let module Q = Seq_objects.Queue_of_int in
+  let q = WQ.create ~window:1 ~n:domains () in
+  let per_domain = 100 in
+  let producers = domains / 2 in
+  let outputs =
+    P.run_domains domains (fun pid ->
+        List.init per_domain (fun i ->
+            if pid < producers then begin
+              let item = (pid * 1_000_000) + i in
+              let _, pos = WQ.apply_pos q ~pid (Q.Enq item) in
+              (`Produced item, pos)
+            end
+            else
+              match WQ.apply_pos q ~pid Q.Deq with
+              | Q.Deqd x, pos -> (`Consumed x, pos)
+              | _, pos -> (`Missed, pos)))
+  in
+  let all = List.concat outputs in
+  let produced =
+    List.filter_map (function `Produced x, _ -> Some x | _ -> None) all
+  in
+  let consumed =
+    List.filter_map (function `Consumed x, _ -> Some x | _ -> None) all
+  in
+  let rec drain acc =
+    match WQ.apply q ~pid:0 Q.Deq with Q.Deqd x -> drain (x :: acc) | _ -> acc
+  in
+  let leftover = drain [] in
+  let sort = List.sort compare in
+  Alcotest.(check (list int))
+    "conservation" (sort produced)
+    (sort (consumed @ leftover));
+  Alcotest.(check (list int))
+    "positions exactly once"
+    (List.init (List.length all) Fun.id)
+    (sort (List.map snd all));
+  Alcotest.(check bool)
+    (Printf.sprintf "retained %d <= 3" (WQ.retained q))
+    true
+    (WQ.retained q <= 3)
+
 let bugfix_suite =
   ( "runtime.universal-service-fixes",
     [
@@ -779,6 +843,10 @@ let bugfix_suite =
       Alcotest.test_case "log-length accounting agrees" `Quick
         test_log_length_accounting_agrees;
       Alcotest.test_case "bounded log memory" `Quick test_bounded_log_memory;
+      Alcotest.test_case "tickets cover contended applies" `Quick
+        test_tickets_cover_contended_applies;
+      Alcotest.test_case "queue stress at window 1" `Quick
+        test_wait_free_queue_window_one;
     ] )
 
 let suite = suite @ [ bugfix_suite ]
