@@ -1311,10 +1311,10 @@ let profile_overhead () =
   in
   let measure_pair name ~iters work =
     let off = best ~iters work in
-    Obs.Profile.enable ();
+    Obs.Ring.enable ();
     let on_ = best ~iters work in
-    Obs.Profile.disable ();
-    Obs.Profile.reset ();
+    Obs.Ring.disable ();
+    Obs.Ring.reset ();
     let pct = if off > 0. then (on_ -. off) /. off *. 100. else 0. in
     (off, on_, pct, name)
   in
@@ -1470,10 +1470,10 @@ let obs_causal () =
     done
   in
   let set_traced t =
-    if t then Obs.Causal.enable ~sample:64 ()
+    if t then Obs.Ring.enable ~sample:64 ()
     else begin
-      Obs.Causal.disable ();
-      Obs.Causal.reset ()
+      Obs.Ring.disable ();
+      Obs.Ring.reset ()
     end
   in
   (* warm both modes before timing anything *)

@@ -130,6 +130,11 @@ let metrics_port_arg =
            HTTP on localhost:$(docv) (GET /metrics) while the run is in \
            flight.")
 
+let dropped_note () =
+  match Obs.Ring.dropped () with
+  | 0 -> ""
+  | d -> Fmt.str ", %d dropped" d
+
 let obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label
     ?(crashes = 0) f =
   (* the sampler starts first so its ring already has a baseline when
@@ -149,7 +154,7 @@ let obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label
       2
   | Ok sampler -> (
       if progress then Obs.Progress.start ~crashes label;
-      (match profile with Some _ -> Obs.Profile.enable () | None -> ());
+      (match profile with Some _ -> Obs.Ring.enable () | None -> ());
       (* a live sampler implies the hot-path counters should record:
          without this the runtime's gated universal_rt/service metrics
          export as zeros *)
@@ -160,12 +165,10 @@ let obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label
         if progress then Obs.Progress.finish ();
         (match profile with
         | Some path ->
-            Obs.Profile.disable ();
-            Obs.Profile.write path;
-            Fmt.epr "profile written to %s (%d spans%s)@." path
-              (Obs.Profile.recorded ())
-              (let d = Obs.Profile.dropped () in
-               if d = 0 then "" else Fmt.str ", %d dropped" d)
+            Obs.Ring.disable ();
+            Obs.Ring.write path;
+            Fmt.epr "profile written to %s (%d events%s)@." path
+              (Obs.Ring.recorded ()) (dropped_note ())
         | None -> ());
         match sampler with
         | Some s ->
@@ -720,19 +723,16 @@ let resolve_canary ~trace_out ~help_canary =
   | Some c -> c
   | None -> if trace_out <> None then 64 else 0
 
-(* After a traced run: write the merged Perfetto trace if requested and
+(* After a traced run: write the Perfetto trace if requested and
    report the recording volume. *)
 let finish_trace ~trace_out =
   (match trace_out with
   | Some path ->
-      Obs.Causal.write path;
-      let events, edges = Obs.Causal.counts () in
+      Obs.Ring.write path;
       Fmt.epr "causal trace written to %s (%d events, %d help edges%s)@."
-        path events edges
-        (let d = Obs.Causal.dropped () in
-         if d = 0 then "" else Fmt.str ", %d dropped" d)
+        path (Obs.Ring.recorded ()) (Obs.Ring.help_edges ()) (dropped_note ())
   | None -> ());
-  Obs.Causal.disable ()
+  Obs.Ring.disable ()
 
 let load_cmd =
   let clients =
@@ -767,7 +767,7 @@ let load_cmd =
                crash flight recorder, dumped as JSONL whenever the run
                fails its checks or the harness dies mid-flight. *)
             let canary = resolve_canary ~trace_out ~help_canary in
-            Obs.Causal.enable ~sample:trace_sample ();
+            Obs.Ring.enable ~sample:trace_sample ();
             let flight_path =
               match trace_out with
               | Some f -> f ^ ".flight.jsonl"
@@ -779,7 +779,7 @@ let load_cmd =
                 (* runs even when the harness aborts via exception: the
                    post-mortem is most valuable exactly then *)
                 if not !ok then begin
-                  let lines = Obs.Causal.dump_jsonl flight_path in
+                  let lines = Obs.Ring.dump_jsonl flight_path in
                   Fmt.epr "flight recorder: %d events -> %s@." lines
                     flight_path
                 end;
@@ -839,7 +839,7 @@ let serve_cmd =
         else begin
           let canary = resolve_canary ~trace_out ~help_canary in
           if trace_out <> None then
-            Obs.Causal.enable ~sample:trace_sample ();
+            Obs.Ring.enable ~sample:trace_sample ();
           let r =
             Fun.protect
               ~finally:(fun () ->
@@ -1331,9 +1331,7 @@ let stats_cmd =
              prints the final snapshot.")
   in
   let run trace_file watch =
-    (match trace_file with
-    | Some path -> Obs.Trace.set_sink (Obs.Trace.to_file path)
-    | None -> ());
+    if trace_file <> None then Obs.Ring.enable ();
     Obs.Metrics.reset ();
     let workload () =
       Obs.Metrics.with_hot (fun () ->
@@ -1436,7 +1434,11 @@ let stats_cmd =
       Domain.join worker;
       Obs.Sampler.stop sampler
     end;
-    Obs.Trace.close ();
+    Option.iter
+      (fun path ->
+        Obs.Ring.disable ();
+        Fmt.epr "trace: %d lines -> %s@." (Obs.Ring.dump_jsonl path) path)
+      trace_file;
     Fmt.pr "%s@." (Obs.Metrics.snapshot_string ());
     0
   in

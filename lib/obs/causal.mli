@@ -1,61 +1,36 @@
-(** Causal invocation tracing for the universal construction, the
-    wait-freedom auditor, and the crash flight recorder.
+(** Causal invocation tracing for the universal construction and the
+    wait-freedom auditor.
 
     Every traced invocation gets a process-global {e trace id}
     ({!issue}); the construction records its phase events —
     invoke/announce/claim/complete — and explicit {e help edges}
     (helper invocation → helped invocation, attributed through the
-    recording domain's {!current} register) into per-domain bounded
-    rings modeled on {!Profile}'s.  The recording exports three ways:
+    recording domain's {!current} register) into the per-domain
+    {!Ring}, which exports them with everything else recorded there:
+    completed invocations become ["X"] slices and help edges ["s"]/["f"]
+    flow arrows in {!Ring.write}'s Perfetto trace, and {!Ring.dump_jsonl}
+    is the crash flight recorder.  {!Audit} checks per-invocation
+    own-step accounting against the construction's theoretical bound,
+    reports help-chain statistics, and checks the (orientation-filtered)
+    help edges form a DAG — from the live recording or parsed back from
+    a trace file.
 
-    - {!to_trace_json} / {!write}: a Chrome/Perfetto trace merged with
-      {!Profile}'s spans under one timestamp rebase, where completed
-      invocations are ["X"] slices and help edges are ["s"]/["f"] flow
-      events (arrows between domain tracks);
-    - {!dump_jsonl}: the flight recorder — the rings' recent events as
-      a JSONL post-mortem, written when a load check fails or the
-      harness crashes;
-    - {!Audit}: per-invocation own-step accounting checked against the
-      construction's theoretical bound, help-chain statistics, and a
-      DAG check over the (orientation-filtered) help edges — from the
-      live recording or parsed back from a trace file.
-
-    Tracing is sampled 1-in-[sample] by the operation's own sequence
-    number (ticket or op counter), decided {e before} a trace id is
-    issued — unsampled operations never touch the global id counter or
-    domain-local state, so trace ids are dense over the traced
-    operations.  The construction force-samples help-canary operations
-    so cross-client edges are recorded even on boxes where domains
-    rarely overlap.  A help edge performed outside any traced
+    Tracing is sampled 1-in-{!Ring.sample_every} by the operation's own
+    sequence number (ticket or op counter), decided {e before} a trace
+    id is issued — unsampled operations never touch the global id
+    counter or domain-local state, so trace ids are dense over the
+    traced operations.  The construction force-samples help-canary
+    operations so cross-client edges are recorded even on boxes where
+    domains rarely overlap.  A help edge performed outside any traced
     invocation of the recording domain carries helper [-1] (anonymous:
     counted and drawn, never chained).  When disabled, every entry
-    point is a single load-and-branch.
-
-    Concurrency contract: the record path ({!issue}, {!invoke},
-    {!announce}, {!claim}, {!help}, {!complete}, {!meta}) is safe from
-    any domain; {!enable}, {!reset}, {!to_trace_json}, {!write} and
-    {!dump_jsonl} should run at quiescence (the flight-recorder dump
-    tolerates stragglers — a torn read costs at most one event). *)
-
-(** {1 Lifecycle} *)
-
-(** Start recording into fresh rings of [ring_capacity] events per
-    domain, sampling one invocation in [sample] (rounded up to a power
-    of two).  Implies {!reset}. *)
-val enable : ?ring_capacity:int -> ?sample:int -> unit -> unit
-
-(** Stop recording; the rings keep their contents for export. *)
-val disable : unit -> unit
-
-val enabled : unit -> bool
-
-(** Drop all recorded events, registered objects and issued ids. *)
-val reset : unit -> unit
-
-(** The effective sampling period (power of two). *)
-val sample_every : unit -> int
+    point is a single load-and-branch.  The record path is safe from
+    any domain. *)
 
 (** {1 Recording} (called by the construction) *)
+
+(** {!Ring.enabled}. *)
+val enabled : unit -> bool
 
 (** Fresh trace id for a new invocation, also set as this domain's
     {!current}; [-1] when disabled.  Call only for operations that
@@ -107,44 +82,6 @@ val step_bound : n:int -> int
     on a single core) — the help canary's parking primitive. *)
 val backoff : unit -> unit
 
-(** {1 Introspection and export} *)
-
-type kind = Invoke | Announce | Claim | Help | Complete
-
-type event = {
-  kind : kind;
-  ts : int;
-  dom : int;
-  obj : string;
-  trace : int;
-  a : int;
-  b : int;
-  c : int;
-}
-
-type meta_entry = { m_obj : string; m_n : int; m_bound : int }
-
-(** Registered objects (creation order) and all ring events (grouped by
-    domain, oldest first within each). *)
-val snapshot : unit -> meta_entry list * event list
-
-(** [(total events, help edges)] currently recorded. *)
-val counts : unit -> int * int
-
-(** Events lost to ring wraparound. *)
-val dropped : unit -> int
-
-(** The merged Perfetto trace (Profile spans + causal events). *)
-val to_trace_json : unit -> Json.t
-
-(** {!to_trace_json} pretty-printed to a file. *)
-val write : string -> unit
-
-(** Flight recorder: object registrations then ring events
-    (time-sorted), one JSON object per line.  Returns the number of
-    lines written. *)
-val dump_jsonl : string -> int
-
 (** {1 Wait-freedom auditor} *)
 
 module Audit : sig
@@ -175,13 +112,14 @@ module Audit : sig
     dag_ok : bool;
   }
 
-  (** Audit a raw recording (e.g. {!snapshot}). *)
-  val of_events : meta_entry list * event list -> report
+  (** Audit raw events (e.g. flattened from {!Ring.snapshot}); non-causal
+      kinds are ignored. *)
+  val of_events : Ring.meta_entry list * Ring.event list -> report
 
   (** Audit the live recording. *)
   val of_recording : unit -> report
 
-  (** Audit a trace file written by {!write}, parsed back from its
+  (** Audit a trace file written by {!Ring.write}, parsed back from its
       JSON.  Raises [Invalid_argument] when the value is not a trace. *)
   val of_trace_json : Json.t -> report
 

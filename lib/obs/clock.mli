@@ -1,21 +1,8 @@
-(** A monotonically non-decreasing nanosecond clock.
+(** The one clock of [lib/obs]: [CLOCK_MONOTONIC] in nanoseconds. *)
 
-    The container's OCaml switch has no [mtime]; this wraps
-    [Unix.gettimeofday] and clamps it so successive reads never go
-    backwards (wall clocks may), which is all the trace sink and the
-    latency histograms need. *)
-
-(** Nanoseconds since an arbitrary epoch; non-decreasing across calls,
-    including calls from different domains. *)
+(** Nanoseconds since an arbitrary (boot-time) epoch; non-decreasing
+    across calls, including calls from different domains. *)
 val now_ns : unit -> int
-
-(** Epoch seconds (as returned by [Unix.gettimeofday]) to integer
-    nanoseconds.  Computed from the whole-second and fractional parts
-    separately: epoch nanoseconds exceed the 53-bit double mantissa, so
-    a single [*. 1e9] multiplication would quantize timestamps to
-    ~512 ns and corrupt sub-microsecond spans.  Exposed for the
-    precision regression tests. *)
-val of_gettimeofday : float -> int
 
 (** [elapsed_ns f] runs [f] and returns its result with the elapsed
     nanoseconds. *)

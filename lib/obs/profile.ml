@@ -1,167 +1,35 @@
-(* Per-domain ring-buffered span profiler; Chrome trace_event export.
+(* Span vocabulary over {!Ring}: a completed span is ONE slot, written
+   at end time, carrying both endpoints' timestamps and sequence
+   numbers; a span still open lives on its domain's stack. *)
 
-   Record path: each domain owns a [dstate] (reached through
-   [Domain.DLS], registered once in the global list under [reg_lock])
-   and writes only to it, so recording takes no lock and contends with
-   nobody.  A completed span is ONE ring entry, written at end time:
-   wraparound therefore drops whole spans (oldest first) and can never
-   leave an unbalanced begin without its end.
+type args = Ring.args
 
-   Ordering: [Clock.now_ns] is gettimeofday-based and can return equal
-   values for adjacent events, so timestamps alone cannot reconstruct
-   nesting.  Every event endpoint instead takes a per-domain sequence
-   number at the moment it happens; the exporter orders each tid's
-   events by sequence and clamps timestamps non-decreasing, which
-   yields a properly nested, monotone timeline even under ties. *)
-
-type args = (string * Json.t) list
-
-type entry =
-  | E_span of {
-      name : string;
-      cat : string option;
-      t0 : int;
-      t1 : int;
-      bseq : int;
-      eseq : int;
-      args : args;
-    }
-  | E_instant of {
-      name : string;
-      cat : string option;
-      ts : int;
-      seq : int;
-      args : args;
-    }
-  | E_counter of {
-      name : string;
-      ts : int;
-      seq : int;
-      values : (string * float) list;
-    }
-
-(* A begin_ whose end_ has not happened yet lives on the domain's
-   stack, not in the ring; it enters the ring only once completed. *)
-type open_span = {
-  o_name : string;
-  o_cat : string option;
-  o_t0 : int;
-  o_bseq : int;
-  o_args : args;
-}
-
-type dstate = {
-  tid : int;
-  mutable ring : entry array; (* allocated on first push *)
-  mutable pos : int; (* next write index *)
-  mutable filled : int; (* live entries, <= capacity *)
-  mutable dropped : int;
-  mutable stack_ : open_span list;
-  mutable seq : int;
-}
-
-let dummy = E_counter { name = ""; ts = 0; seq = -1; values = [] }
-let on = ref false
-let ring_capacity = ref 65536
-let set_capacity c = ring_capacity := c
-let reg_lock = Mutex.create ()
-let all : dstate list ref = ref []
-
-let dls : dstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let d =
-        {
-          tid = (Domain.self () :> int);
-          ring = [||];
-          pos = 0;
-          filled = 0;
-          dropped = 0;
-          stack_ = [];
-          seq = 0;
-        }
-      in
-      Mutex.lock reg_lock;
-      all := d :: !all;
-      Mutex.unlock reg_lock;
-      d)
-
-let enabled () = !on
-
-let clear_dstate d =
-  d.ring <- [||];
-  d.pos <- 0;
-  d.filled <- 0;
-  d.dropped <- 0;
-  d.stack_ <- [];
-  d.seq <- 0
-
-let reset () =
-  Mutex.lock reg_lock;
-  List.iter clear_dstate !all;
-  Mutex.unlock reg_lock
-
-let enable ?(ring_capacity = 65536) () =
-  Mutex.lock reg_lock;
-  (* stale capacity would survive in already-allocated rings: clear
-     everything so every domain re-allocates at the new size *)
-  List.iter clear_dstate !all;
-  Mutex.unlock reg_lock;
-  set_capacity (max 1 ring_capacity);
-  on := true
-
-let disable () = on := false
-
-let push d e =
-  let cap = Array.length d.ring in
-  let cap =
-    if cap = 0 then (
-      let c = !ring_capacity in
-      d.ring <- Array.make c dummy;
-      c)
-    else cap
-  in
-  d.ring.(d.pos) <- e;
-  d.pos <- (d.pos + 1) mod cap;
-  if d.filled < cap then d.filled <- d.filled + 1
-  else d.dropped <- d.dropped + 1
-
-let force_args = function None -> [] | Some f -> f ()
+let enabled () = !Ring.on
+let force = function None -> [] | Some f -> f ()
 
 let begin_ ?cat ?args name =
-  if !on then begin
-    let d = Domain.DLS.get dls in
-    let bseq = d.seq in
-    d.seq <- bseq + 1;
-    let o_t0 = Clock.now_ns () in
-    d.stack_ <-
-      { o_name = name; o_cat = cat; o_t0; o_bseq = bseq; o_args = force_args args }
-      :: d.stack_
+  if !Ring.on then begin
+    let d = Ring.self () in
+    let o_bseq = Ring.next_seq d in
+    let o_args = force args in
+    d.open_spans <-
+      { o_name = name; o_cat = cat; o_t0 = Clock.now_ns (); o_bseq; o_args }
+      :: d.open_spans
   end
 
 let end_ () =
-  if !on then
-    let d = Domain.DLS.get dls in
-    match d.stack_ with
+  if !Ring.on then
+    let d = Ring.self () in
+    match d.open_spans with
     | [] -> () (* enabled mid-span, or an unmatched end_: ignore *)
     | o :: rest ->
-        d.stack_ <- rest;
+        d.open_spans <- rest;
         let t1 = Clock.now_ns () in
-        let eseq = d.seq in
-        d.seq <- eseq + 1;
-        push d
-          (E_span
-             {
-               name = o.o_name;
-               cat = o.o_cat;
-               t0 = o.o_t0;
-               t1;
-               bseq = o.o_bseq;
-               eseq;
-               args = o.o_args;
-             })
+        Ring.record d Span ~ts:o.o_t0 ~seq:o.o_bseq ~name:o.o_name ~cat:o.o_cat
+          t1 (Ring.next_seq d) o.o_args
 
 let span ?cat ?args name f =
-  if not !on then f ()
+  if not !Ring.on then f ()
   else begin
     begin_ ?cat ?args name;
     match f () with
@@ -175,224 +43,25 @@ let span ?cat ?args name f =
   end
 
 let complete ?cat ?args name ~t0_ns =
-  if !on then begin
-    let d = Domain.DLS.get dls in
+  if !Ring.on then begin
+    let d = Ring.self () in
     let t1 = Clock.now_ns () in
-    let bseq = d.seq in
-    d.seq <- bseq + 2;
-    push d
-      (E_span
-         {
-           name;
-           cat;
-           t0 = t0_ns;
-           t1;
-           bseq;
-           eseq = bseq + 1;
-           args = force_args args;
-         })
+    let bseq = Ring.next_seq d in
+    Ring.record d Span ~ts:t0_ns ~seq:bseq ~name ~cat t1 (Ring.next_seq d)
+      (force args)
   end
 
 let instant ?cat ?args name =
-  if !on then begin
-    let d = Domain.DLS.get dls in
-    let seq = d.seq in
-    d.seq <- seq + 1;
-    push d
-      (E_instant
-         { name; cat; ts = Clock.now_ns (); seq; args = force_args args })
+  if !Ring.on then begin
+    let d = Ring.self () in
+    Ring.record d Instant ~ts:(Clock.now_ns ()) ~seq:(Ring.next_seq d) ~name
+      ~cat 0 0 (force args)
   end
 
 let counter name values =
-  if !on then begin
-    let d = Domain.DLS.get dls in
-    let seq = d.seq in
-    d.seq <- seq + 1;
-    push d (E_counter { name; ts = Clock.now_ns (); seq; values })
+  if !Ring.on then begin
+    let d = Ring.self () in
+    Ring.record d Counter ~ts:(Clock.now_ns ()) ~seq:(Ring.next_seq d) ~name
+      ~cat:None 0 0
+      (List.map (fun (k, v) -> (k, Json.float v)) values)
   end
-
-let snapshot () =
-  Mutex.lock reg_lock;
-  let ds = List.sort (fun a b -> compare a.tid b.tid) !all in
-  let r =
-    List.map
-      (fun d ->
-        let cap = Array.length d.ring in
-        let entries =
-          if cap = 0 then []
-          else
-            let n = d.filled in
-            let start = ((d.pos - n) mod cap + cap) mod cap in
-            List.init n (fun i -> d.ring.((start + i) mod cap))
-        in
-        (d, entries))
-      ds
-  in
-  Mutex.unlock reg_lock;
-  r
-
-let recorded () = List.fold_left (fun acc (d, _) -> acc + d.filled) 0 (snapshot ())
-let dropped () = List.fold_left (fun acc (d, _) -> acc + d.dropped) 0 (snapshot ())
-
-(* One exporter event: [seq] orders it within its tid; [ts] is clamped
-   non-decreasing per tid before rendering. *)
-type ev = {
-  v_seq : int;
-  v_ts : int;
-  v_ph : char;
-  v_name : string;
-  v_cat : string option;
-  v_args : args;
-  v_values : (string * float) list;
-}
-
-let events_of_entry = function
-  | E_span { name; cat; t0; t1; bseq; eseq; args } ->
-      [
-        {
-          v_seq = bseq;
-          v_ts = t0;
-          v_ph = 'B';
-          v_name = name;
-          v_cat = cat;
-          v_args = args;
-          v_values = [];
-        };
-        {
-          v_seq = eseq;
-          v_ts = t1;
-          v_ph = 'E';
-          v_name = name;
-          v_cat = cat;
-          v_args = [];
-          v_values = [];
-        };
-      ]
-  | E_instant { name; cat; ts; seq; args } ->
-      [
-        {
-          v_seq = seq;
-          v_ts = ts;
-          v_ph = 'i';
-          v_name = name;
-          v_cat = cat;
-          v_args = args;
-          v_values = [];
-        };
-      ]
-  | E_counter { name; ts; seq; values } ->
-      [
-        {
-          v_seq = seq;
-          v_ts = ts;
-          v_ph = 'C';
-          v_name = name;
-          v_cat = None;
-          v_args = [];
-          v_values = values;
-        };
-      ]
-
-let to_json ?(extra_min_ns = max_int) ?extra () =
-  let snap = snapshot () in
-  let pid = Unix.getpid () in
-  (* rebase on the earliest timestamp so microsecond floats keep
-     nanosecond precision (epoch-ns / 1000 exceeds the mantissa);
-     [extra_min_ns] lets a co-exported event source (Causal) share the
-     rebase so both sets of timestamps stay aligned *)
-  let t_base =
-    List.fold_left
-      (fun acc (_, entries) ->
-        List.fold_left
-          (fun acc e ->
-            List.fold_left (fun acc v -> min acc v.v_ts) acc (events_of_entry e))
-          acc entries)
-      extra_min_ns snap
-  in
-  let t_base = if t_base = max_int then 0 else t_base in
-  let ts_us ns = Json.float (float_of_int (ns - t_base) /. 1_000.) in
-  let meta =
-    Json.obj
-      [
-        ("name", Json.str "process_name");
-        ("ph", Json.str "M");
-        ("pid", Json.int pid);
-        ("tid", Json.int 0);
-        ("args", Json.obj [ ("name", Json.str "wfs") ]);
-      ]
-    :: List.map
-         (fun (d, _) ->
-           Json.obj
-             [
-               ("name", Json.str "thread_name");
-               ("ph", Json.str "M");
-               ("pid", Json.int pid);
-               ("tid", Json.int d.tid);
-               ("args", Json.obj [ ("name", Json.str (Fmt.str "domain-%d" d.tid)) ]);
-             ])
-         snap
-  in
-  let row (d, entries) =
-    let evs =
-      List.concat_map events_of_entry entries
-      |> List.sort (fun a b -> compare a.v_seq b.v_seq)
-    in
-    let last = ref min_int in
-    List.map
-      (fun v ->
-        let ts = if v.v_ts < !last then !last else v.v_ts in
-        last := ts;
-        let base =
-          [
-            ("name", Json.str v.v_name);
-            ("ph", Json.str (String.make 1 v.v_ph));
-            ("ts", ts_us ts);
-            ("pid", Json.int pid);
-            ("tid", Json.int d.tid);
-          ]
-        in
-        let base =
-          match v.v_cat with
-          | None -> base
-          | Some c -> base @ [ ("cat", Json.str c) ]
-        in
-        let base = if v.v_ph = 'i' then base @ [ ("s", Json.str "t") ] else base in
-        let base =
-          match (v.v_ph, v.v_args, v.v_values) with
-          | 'C', _, values ->
-              base
-              @ [
-                  ( "args",
-                    Json.obj (List.map (fun (k, x) -> (k, Json.float x)) values)
-                  );
-                ]
-          | _, [], _ -> base
-          | _, args, _ -> base @ [ ("args", Json.obj args) ]
-        in
-        Json.obj base)
-      evs
-  in
-  let extra_events =
-    match extra with None -> [] | Some f -> f (fun ns -> ts_us ns)
-  in
-  Json.obj
-    [
-      ("traceEvents", Json.list (meta @ List.concat_map row snap @ extra_events));
-      ("displayTimeUnit", Json.str "ms");
-    ]
-
-let write path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (to_json ()));
-      output_char oc '\n')
-
-let with_profile ?ring_capacity ~out f =
-  enable ?ring_capacity ();
-  Fun.protect
-    ~finally:(fun () ->
-      disable ();
-      write out)
-    f

@@ -1,56 +1,23 @@
-(** Per-domain span profiler with Chrome [trace_event] output.
+(** Named, timestamped spans, instants and counters, recorded into the
+    calling domain's {!Ring} and exported by {!Ring.write} as Chrome
+    trace-event JSON: one row per domain, spans as balanced [B]/[E]
+    pairs.
 
-    {!span}/{!begin_}/{!end_} record named, timestamped spans into a
-    {e per-domain ring buffer}; {!write} serializes everything recorded
-    so far as Chrome trace-event JSON ([{"traceEvents": [...]}]) that
-    loads directly in Perfetto ([ui.perfetto.dev]) or
-    [chrome://tracing], with [pid] = the OS process and one [tid] row
-    per OCaml domain.
+    Disabled (the default), every entry point is one branch on
+    {!Ring.on}: argument thunks are not forced, no clock is read,
+    nothing allocates beyond the closure at the call site.  Enabled, a
+    span costs two {!Clock.now_ns} reads and one ring slot, written when
+    it ends — so wraparound drops whole spans, oldest first, and spans
+    still open at export time are not exported. *)
 
-    Cost model:
+type args = Ring.args
 
-    - disabled (the default), every entry point is one branch on a
-      plain [bool ref] — argument thunks are not forced, no clock is
-      read, nothing allocates beyond the closure at the call site;
-    - enabled, a span costs two {!Clock.now_ns} reads and one ring
-      slot.  No lock is taken on the record path: each domain writes
-      only its own ring.
-
-    Ring semantics: a completed span occupies exactly {e one} ring
-    entry (written at [end_] time), so wraparound drops whole spans,
-    oldest first — it can never tear a span into an unbalanced
-    begin/end pair.  Spans still open when the profile is written are
-    dropped for the same reason.
-
-    Concurrency contract: {!span}, {!begin_}, {!end_}, {!complete},
-    {!instant} and {!counter} are safe from any domain concurrently.
-    {!enable}, {!reset}, {!to_json} and {!write} must run at
-    {e quiescence} — no other domain inside an instrumented region —
-    which is why the CLI and pool flush only after the pool has
-    joined. *)
-
-type args = (string * Json.t) list
-
-(** True between {!enable} and {!disable}.  The one-branch gate. *)
+(** {!Ring.enabled}: the one-branch gate. *)
 val enabled : unit -> bool
 
-(** [enable ?ring_capacity ()] clears any previous recording and turns
-    recording on.  [ring_capacity] (default 65536) is the per-domain
-    span budget; when a domain overflows it, its oldest entries are
-    dropped (see {!dropped}). *)
-val enable : ?ring_capacity:int -> unit -> unit
-
-(** Stop recording.  Recorded data is retained until {!reset} or the
-    next {!enable}, so it can still be written out. *)
-val disable : unit -> unit
-
-(** Drop everything recorded, in every domain's ring.  Quiescence
-    required. *)
-val reset : unit -> unit
-
 (** [span ?cat ?args name f] runs [f] inside a span.  The [args] thunk
-    is forced only when profiling is enabled.  Exceptions close the
-    span and propagate. *)
+    is forced only when recording.  Exceptions close the span and
+    propagate. *)
 val span : ?cat:string -> ?args:(unit -> args) -> string -> (unit -> 'a) -> 'a
 
 (** Open a span on the calling domain's stack.  Every [begin_] must be
@@ -59,7 +26,7 @@ val span : ?cat:string -> ?args:(unit -> args) -> string -> (unit -> 'a) -> 'a
 val begin_ : ?cat:string -> ?args:(unit -> args) -> string -> unit
 
 (** Close the most recent open span on the calling domain.  No-op when
-    the stack is empty (e.g. profiling was enabled mid-span). *)
+    the stack is empty (e.g. recording was enabled mid-span). *)
 val end_ : unit -> unit
 
 (** [complete ?cat ?args name ~t0_ns] records a span that started at
@@ -72,34 +39,6 @@ val complete : ?cat:string -> ?args:(unit -> args) -> string -> t0_ns:int -> uni
 (** A zero-duration instant event on the calling domain's row. *)
 val instant : ?cat:string -> ?args:(unit -> args) -> string -> unit
 
-(** [counter name values] records a trace counter sample (rendered by
+(** [counter name values] records a counter sample (rendered by
     Perfetto as a track of stacked series). *)
 val counter : string -> (string * float) list -> unit
-
-(** Entries currently buffered across all domains. *)
-val recorded : unit -> int
-
-(** Entries lost to ring wraparound across all domains. *)
-val dropped : unit -> int
-
-(** The whole recording as one Chrome trace-event JSON object:
-    [traceEvents] holds [M] (process/thread name) metadata, balanced
-    [B]/[E] span pairs, [i] instants and [C] counters.  Per-[tid]
-    timestamps are non-decreasing and spans are properly nested.
-
-    [extra_min_ns] folds a co-exported event source's earliest raw
-    timestamp into the rebase (timestamps are exported as microseconds
-    relative to the earliest event, keeping ns precision inside the
-    float mantissa), and [extra] — called with the resulting
-    ns-to-rebased-µs renderer — appends that source's already-rendered
-    events to [traceEvents].  {!Causal.to_trace_json} uses both to
-    merge help-edge flow events into the same timeline. *)
-val to_json :
-  ?extra_min_ns:int -> ?extra:((int -> Json.t) -> Json.t list) -> unit -> Json.t
-
-(** [write path] = {!to_json} pretty-printed to [path]. *)
-val write : string -> unit
-
-(** [with_profile ?ring_capacity ~out f]: enable, run [f], then always
-    disable and write the profile to [out]. *)
-val with_profile : ?ring_capacity:int -> out:string -> (unit -> 'a) -> 'a

@@ -69,9 +69,10 @@ let around t ~pid ~obj ~op ~encode_res f =
   (* [Op.name] is one constant-time projection — cheap enough for the
      profiler's per-op span args, unlike a full [Op.pp] render.
 
-     Runtime operations are sub-microsecond, so emitting a span per op
-     multiplies their cost several-fold when profiling is on (the
-     profile bench's recorder-op section measures it).  Sample 1 in 64:
+     Runtime operations are sub-microsecond, so a span per op dominates
+     them: the profile bench's recorder-op section measured +350% to
+     +380% per op with every op spanned, against run-to-run noise
+     (-18% to +10%) at 1 in 64, on a 2-core x86_64 VM.  Sample 1 in 64:
      the trace keeps the op mix and the per-op duration distribution at
      1/64 the events, and the unprofiled path is untouched. *)
   let prof =

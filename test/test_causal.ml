@@ -7,15 +7,16 @@
 open Wfs_runtime
 open Wfs_spec
 module Causal = Wfs_obs.Causal
+module Ring = Wfs_obs.Ring
 
 (* Every test leaves the global recorder disabled and empty, whatever
    happens — the rest of the suite runs in the same process. *)
 let with_tracing ?(sample = 1) f =
-  Causal.enable ~sample ();
+  Ring.enable ~sample ();
   Fun.protect
     ~finally:(fun () ->
-      Causal.disable ();
-      Causal.reset ())
+      Ring.disable ();
+      Ring.reset ())
     f
 
 let audited_load ?(clients = 3) ?(ops = 60) ?(seed = 11) ?(canary = 4) () =
@@ -57,7 +58,7 @@ let test_roundtrip_accounting () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Causal.write path;
+          Ring.write path;
           let ic = open_in_bin path in
           let contents =
             Fun.protect
@@ -138,7 +139,7 @@ let test_flight_recorder_dump () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          let written = Causal.dump_jsonl path in
+          let written = Ring.dump_jsonl path in
           Alcotest.(check bool) "dump non-empty" true (written > 0);
           let ic = open_in path in
           let lines = ref 0 in

@@ -1,4 +1,5 @@
-(* Tests for the observability layer (Wfs_obs): JSON, metrics, tracing,
+(* Tests for the observability layer (Wfs_obs): JSON, metrics, the event
+   ring's JSONL writer, the clock,
    counterexample export/replay, and the explorer's metric feed. *)
 
 open Wfs_spec
@@ -6,7 +7,9 @@ open Wfs_sim
 open Wfs_consensus
 module Json = Wfs_obs.Json
 module Metrics = Wfs_obs.Metrics
-module Trace = Wfs_obs.Trace
+module Ring = Wfs_obs.Ring
+module Profile = Wfs_obs.Profile
+module Causal = Wfs_obs.Causal
 module Counterexample = Wfs_obs.Counterexample
 
 let value = Alcotest.testable Value.pp Value.equal
@@ -159,42 +162,73 @@ let test_metrics_hot_flag () =
   Alcotest.(check bool) "on inside with_hot" true inside;
   Alcotest.(check bool) "restored after" false (Metrics.hot ())
 
-(* --- tracing --- *)
+(* --- the event ring's JSONL writer --- *)
 
-let test_trace_buffer_sink () =
-  let sink, lines = Trace.buffer () in
-  Trace.set_sink sink;
-  Alcotest.(check bool) "enabled" true (Trace.enabled ());
-  Trace.event ~pid:3 ~tags:[ ("k", Json.int 9) ] "tick";
-  let result = Trace.with_span "work" (fun () -> 40 + 2) in
-  Alcotest.(check int) "span passes result through" 42 result;
-  Trace.close ();
-  Alcotest.(check bool) "closed" false (Trace.enabled ());
-  match lines () with
-  | [ l1; l2 ] ->
-      let j1 = Json.of_string l1 and j2 = Json.of_string l2 in
-      let str_field k j = Option.bind (Json.member k j) Json.to_str in
-      Alcotest.(check (option string)) "event kind" (Some "event")
-        (str_field "kind" j1);
-      Alcotest.(check (option string)) "event name" (Some "tick")
-        (str_field "name" j1);
-      Alcotest.(check (option int)) "event pid" (Some 3)
-        (Option.bind (Json.member "pid" j1) Json.to_int);
-      Alcotest.(check (option int)) "event tag" (Some 9)
-        (Option.bind (Json.member "k" j1) Json.to_int);
-      Alcotest.(check (option string)) "span kind" (Some "span")
-        (str_field "kind" j2);
-      Alcotest.(check bool) "span has dur_ns" true
-        (Json.member "dur_ns" j2 <> None);
-      Alcotest.(check bool) "timestamps present" true
-        (Json.member "ts" j1 <> None && Json.member "ts" j2 <> None)
-  | ls -> Alcotest.fail (Fmt.str "expected 2 trace lines, got %d" (List.length ls))
+let jsonl_lines path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | l -> go (Json.of_string l :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
 
-let test_trace_null_sink_is_noop () =
-  (* default sink: nothing recorded, nothing raised *)
-  Alcotest.(check bool) "disabled" false (Trace.enabled ());
-  Trace.event "ignored";
-  Alcotest.(check int) "span still runs" 7 (Trace.with_span "s" (fun () -> 7))
+let with_jsonl_dump f =
+  let path = Filename.temp_file "wfs-ring" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let written = Ring.dump_jsonl path in
+      let lines = jsonl_lines path in
+      Alcotest.(check int) "returned count = lines written" written
+        (List.length lines);
+      f lines)
+
+let test_jsonl_explorer_done () =
+  Ring.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Ring.disable ();
+      Ring.reset ())
+    (fun () ->
+      let p = Cas_consensus.protocol ~n:2 () in
+      let _ = Protocol.verify p in
+      Ring.disable ();
+      with_jsonl_dump (fun lines ->
+          let str k j = Option.bind (Json.member k j) Json.to_str in
+          let done_ =
+            List.filter
+              (fun j ->
+                str "kind" j = Some "instant" && str "name" j = Some "explorer.done")
+              lines
+          in
+          Alcotest.(check bool) "explorer.done recorded" true (done_ <> []);
+          List.iter
+            (fun j ->
+              let arg k =
+                Option.bind (Json.member "args" j) (fun a ->
+                    Option.bind (Json.member k a) Json.to_int)
+              in
+              Alcotest.(check bool) "states > 0" true
+                (Option.value ~default:0 (arg "states") > 0);
+              Alcotest.(check bool) "max_depth present" true
+                (arg "max_depth" <> None);
+              Alcotest.(check bool) "timestamped" true (Json.member "ts" j <> None))
+            done_))
+
+let test_jsonl_disabled_records_nothing () =
+  Alcotest.(check bool) "off by default" false (Ring.enabled ());
+  Profile.instant "ignored";
+  Profile.span "ignored" (fun () -> ());
+  Causal.invoke ~obj:"ignored" ~trace:0 ~pid:0;
+  Causal.meta ~obj:"ignored" ~n:1 ~bound:10;
+  Alcotest.(check int) "no trace id issued" (-1) (Causal.issue ());
+  Alcotest.(check int) "nothing recorded" 0 (Ring.recorded ());
+  with_jsonl_dump (fun lines ->
+      Alcotest.(check int) "empty dump" 0 (List.length lines))
 
 (* --- counterexamples --- *)
 
@@ -340,24 +374,46 @@ let test_explorer_truncation_metrics_distinguish_causes () =
 
 (* --- clock --- *)
 
-let test_clock_precision () =
+(* CLOCK_MONOTONIC resolves far below the microsecond a [gettimeofday]
+   clock is stuck at.  The bound is 500 ns, not 1 us: epoch seconds as a
+   double are quantised to ~238 ns, so a microsecond clock read that way
+   can still step by 953 ns. *)
+let test_clock_resolution () =
   let module Clock = Wfs_obs.Clock in
-  (* exact on representable inputs *)
-  Alcotest.(check int) "1.5 s" 1_500_000_000 (Clock.of_gettimeofday 1.5);
-  Alcotest.(check int) "whole seconds exact"
-    1_754_000_000_000_000_000
-    (Clock.of_gettimeofday 1.754e9);
-  (* the regression: at current-epoch magnitude, nanoseconds exceed the
-     53-bit double mantissa, so a single [*. 1e9] would quantize to
-     ~256 ns steps; adjacent representable doubles (~238 ns apart) must
-     map to distinct, properly spaced integers *)
-  let s1 = 1.754e9 +. 0.123456 in
-  let s2 = Float.succ s1 in
-  let n1 = Clock.of_gettimeofday s1 and n2 = Clock.of_gettimeofday s2 in
-  Alcotest.(check bool) "adjacent doubles distinguished" true (n2 > n1);
+  let best = ref max_int and prev = ref (Clock.now_ns ()) in
+  for _ = 1 to 100_000 do
+    let t = Clock.now_ns () in
+    if t > !prev && t - !prev < !best then best := t - !prev;
+    prev := t
+  done;
   Alcotest.(check bool)
-    "spacing below the naive 256 ns quantum" true
-    (n2 - n1 < 256)
+    (Fmt.str "smallest positive step %d ns < 500 ns" !best)
+    true (!best < 500)
+
+(* Two domains take turns: each read happens after the other domain's
+   previous read (ordered through [turn]) and must not see an earlier
+   time. *)
+let test_clock_cross_domain () =
+  let module Clock = Wfs_obs.Clock in
+  let turn = Atomic.make 0 and stamp = Atomic.make min_int in
+  let ok = Atomic.make true and rounds = 1_000 in
+  let side first =
+    let k = ref first in
+    while !k < rounds do
+      while Atomic.get turn <> !k do
+        Domain.cpu_relax ()
+      done;
+      let now = Clock.now_ns () in
+      if now < Atomic.get stamp then Atomic.set ok false;
+      Atomic.set stamp now;
+      Atomic.set turn (!k + 1);
+      k := !k + 2
+    done
+  in
+  let other = Domain.spawn (fun () -> side 1) in
+  side 0;
+  Domain.join other;
+  Alcotest.(check bool) "non-decreasing across domains" true (Atomic.get ok)
 
 let test_clock_monotone () =
   let module Clock = Wfs_obs.Clock in
@@ -376,8 +432,10 @@ let suite =
   [
     ( "obs.clock",
       [
-        Alcotest.test_case "sub-microsecond precision at epoch scale" `Quick
-          test_clock_precision;
+        Alcotest.test_case "resolution below 500 ns" `Quick
+          test_clock_resolution;
+        Alcotest.test_case "non-decreasing across domains" `Quick
+          test_clock_cross_domain;
         Alcotest.test_case "monotone across 10k reads" `Quick
           test_clock_monotone;
       ] );
@@ -398,11 +456,12 @@ let suite =
           test_metrics_snapshot_sorted;
         Alcotest.test_case "hot flag" `Quick test_metrics_hot_flag;
       ] );
-    ( "obs.trace",
+    ( "obs.ring.jsonl",
       [
-        Alcotest.test_case "buffer sink JSONL" `Quick test_trace_buffer_sink;
-        Alcotest.test_case "null sink no-op" `Quick
-          test_trace_null_sink_is_noop;
+        Alcotest.test_case "explorer.done carries states" `Quick
+          test_jsonl_explorer_done;
+        Alcotest.test_case "disabled ring records nothing" `Quick
+          test_jsonl_disabled_records_nothing;
       ] );
     ( "obs.counterexample",
       [

@@ -1,14 +1,17 @@
-(* Tests for Wfs_obs.Profile (the span profiler) and its integration
-   points: structural validity of the exported Chrome trace (balanced
-   B/E per tid, non-decreasing timestamps, one thread row per domain),
-   the no-tearing guarantee under ring wraparound, pool member stats,
-   and the tentpole invariant that profiling does not perturb parallel
-   verification verdicts. *)
+(* Tests for Wfs_obs.Profile spans in the event ring (Wfs_obs.Ring) and
+   their integration points: structural validity of the exported Chrome
+   trace (balanced B/E per tid, non-decreasing timestamps, exactly one
+   thread row per domain even when spans and causal events share it),
+   the no-tearing guarantee under ring wraparound, ring counters that
+   match the decoded rings, pool member stats, and the invariant that
+   profiling does not perturb parallel verification verdicts. *)
 
 open Wfs_sim
 open Wfs_consensus
 module Json = Wfs_obs.Json
 module Profile = Wfs_obs.Profile
+module Ring = Wfs_obs.Ring
+module Causal = Wfs_obs.Causal
 
 (* --- trace structure helpers --- *)
 
@@ -92,23 +95,23 @@ let test_disabled_noop () =
   Profile.end_ ();
   Profile.instant "ignored";
   Profile.counter "ignored" [ ("v", 1.0) ];
-  Alcotest.(check int) "nothing recorded" 0 (Profile.recorded ())
+  Alcotest.(check int) "nothing recorded" 0 (Ring.recorded ())
 
 let test_span_propagates_exceptions () =
-  Profile.enable ();
+  Ring.enable ();
   (match Profile.span "boom" (fun () -> failwith "boom") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected Failure");
   (* the span closed on the way out: the trace stays balanced *)
-  let j = Profile.to_json () in
-  Profile.disable ();
-  Profile.reset ();
+  let j = Ring.to_json () in
+  Ring.disable ();
+  Ring.reset ();
   check_trace_structure j
 
 (* --- multi-domain export --- *)
 
 let test_multi_domain_trace () =
-  Profile.enable ();
+  Ring.enable ();
   let work label =
     Profile.span "outer" ~cat:"test"
       ~args:(fun () -> [ ("who", Json.str label) ])
@@ -121,9 +124,9 @@ let test_multi_domain_trace () =
   work "main";
   let ds = Array.init 2 (fun i -> Domain.spawn (fun () -> work (Fmt.str "d%d" i))) in
   Array.iter Domain.join ds;
-  Profile.disable ();
-  let j = Profile.to_json () in
-  Profile.reset ();
+  Ring.disable ();
+  let j = Ring.to_json () in
+  Ring.reset ();
   (* serialized form is valid JSON and survives a round trip *)
   let j = Json.of_string (Json.to_string_pretty j) in
   let evs = trace_events j in
@@ -174,17 +177,95 @@ let prop_wraparound_balanced =
   QCheck2.Test.make ~name:"ring wraparound never tears a span" ~count:100
     QCheck2.Gen.(list_size (int_range 20 60) (int_range 0 3))
     (fun script ->
-      Profile.enable ~ring_capacity:8 ();
+      Ring.enable ~ring_capacity:8 ();
       run_script script;
-      Profile.disable ();
-      let j = Profile.to_json () in
-      let dropped = Profile.dropped () in
-      Profile.reset ();
+      Ring.disable ();
+      let j = Ring.to_json () in
+      let dropped = Ring.dropped () in
+      Ring.reset ();
       (* >= 20 commands into 8 slots: the ring must have wrapped *)
       if dropped = 0 then
         QCheck2.Test.fail_report "expected wraparound drops";
       check_trace_structure j;
       true)
+
+(* --- spans and causal events share one ring --- *)
+
+(* One traced invocation inside a span, on the calling domain. *)
+let traced_op ~obj =
+  Profile.span "op" ~cat:"test" (fun () ->
+      let tr = Causal.issue () in
+      Causal.invoke ~obj ~trace:tr ~pid:0;
+      Causal.help ~obj ~helper:(-1) ~helped:tr ~pos:0;
+      Causal.complete ~obj ~trace:tr ~pos:0 ~own_steps:1 ~help_rounds:0)
+
+(* Spans and causal events recorded by one domain render as ONE thread
+   row: a single thread_name per tid, with B/E and X on it. *)
+let test_one_thread_row_per_tid () =
+  Ring.enable ~sample:1 ();
+  Causal.meta ~obj:"toy" ~n:1 ~bound:10;
+  traced_op ~obj:"toy";
+  Domain.join (Domain.spawn (fun () -> traced_op ~obj:"toy"));
+  Ring.disable ();
+  let j = Json.of_string (Json.to_string (Ring.to_json ())) in
+  Ring.reset ();
+  let evs = trace_events j in
+  let tids = thread_name_tids evs in
+  Alcotest.(check int) "two domains, two rows" 2 (List.length tids);
+  Alcotest.(check int)
+    "exactly one thread_name per tid" (List.length tids)
+    (List.length (List.sort_uniq compare tids));
+  List.iter
+    (fun ph ->
+      List.iter
+        (fun tid ->
+          Alcotest.(check bool)
+            (Fmt.str "tid %d has a %s event" tid ph)
+            true
+            (List.exists
+               (fun ev -> str_field "ph" ev = Some ph && int_field "tid" ev = Some tid)
+               evs))
+        tids)
+    [ "B"; "E"; "X"; "s" ]
+
+(* --- counters match the decoded rings under wraparound --- *)
+
+let test_wraparound_counters () =
+  Ring.enable ~ring_capacity:8 ~sample:1 ();
+  (* per call: 1 span + 3 causal events (one of them a help edge) *)
+  let work calls =
+    for _ = 1 to calls do
+      traced_op ~obj:"wrap"
+    done
+  in
+  work 5;
+  Domain.join (Domain.spawn (fun () -> work 1));
+  Ring.disable ();
+  let _, rows = Ring.snapshot () in
+  let rows = List.filter (fun r -> r.Ring.events <> []) rows in
+  let recorded = Ring.recorded () and dropped = Ring.dropped () in
+  let helps = Ring.help_edges () in
+  Ring.reset ();
+  (match rows with
+  | [ main; spawned ] ->
+      Alcotest.(check int) "main: full ring" 8 (List.length main.Ring.events);
+      Alcotest.(check int) "main: 20 pushed, 12 dropped" 12 main.Ring.dropped;
+      Alcotest.(check int) "spawned: 4 held" 4 (List.length spawned.Ring.events);
+      Alcotest.(check int) "spawned: none dropped" 0 spawned.Ring.dropped
+  | rs -> Alcotest.failf "expected 2 rows, got %d" (List.length rs));
+  let events = List.concat_map (fun r -> r.Ring.events) rows in
+  Alcotest.(check int) "recorded = decoded" (List.length events) recorded;
+  Alcotest.(check int)
+    "dropped = sum of rows" dropped
+    (List.fold_left (fun n r -> n + r.Ring.dropped) 0 rows);
+  Alcotest.(check int)
+    "help edges = decoded Help slots"
+    (List.length (List.filter (fun e -> e.Ring.kind = Ring.Help) events))
+    helps;
+  Alcotest.(check bool)
+    "spans and causal events both survive" true
+    (List.exists (fun e -> e.Ring.kind = Ring.Span) events
+    && List.exists (fun e -> e.Ring.kind = Ring.Complete) events)
 
 (* --- pool member stats --- *)
 
@@ -219,11 +300,11 @@ let test_profiled_parallel_verdict_identical () =
   let p = Cas_consensus.protocol ~n:3 () in
   let baseline = Fmt.str "%a" Protocol.pp_report (Protocol.verify p) in
   let profiled =
-    Profile.enable ();
+    Ring.enable ();
     Fun.protect
       ~finally:(fun () ->
-        Profile.disable ();
-        Profile.reset ())
+        Ring.disable ();
+        Ring.reset ())
       (fun () ->
         Pool.with_pool ~domains:2 (fun pool ->
             Fmt.str "%a" Protocol.pp_report (Protocol.verify ~pool p)))
@@ -244,6 +325,10 @@ let suite =
         Alcotest.test_case "pool member stats" `Quick test_pool_member_stats;
         Alcotest.test_case "profiled parallel verdict identical" `Quick
           test_profiled_parallel_verdict_identical;
+        Alcotest.test_case "one thread row per tid" `Quick
+          test_one_thread_row_per_tid;
+        Alcotest.test_case "wraparound counters match the rings" `Quick
+          test_wraparound_counters;
         QCheck_alcotest.to_alcotest prop_wraparound_balanced;
       ] );
   ]
