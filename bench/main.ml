@@ -8,10 +8,11 @@
    constructions the paper only proves exist.  Experiment ids match
    DESIGN.md and EXPERIMENTS.md.
 
-   NOTE on hardware: this container exposes a SINGLE CPU core, so the
-   multi-domain sections measure interleaved concurrency (OS
-   timesharing), not parallelism.  Shapes — who wins, how costs grow —
-   are meaningful; absolute scaling with cores is not measurable here. *)
+   NOTE on hardware: the harness prints the visible core count first.
+   With fewer cores than domains, the multi-domain sections measure
+   interleaved concurrency (OS timesharing), not parallelism: shapes —
+   who wins, how costs grow — stay meaningful, absolute scaling does
+   not. *)
 
 open Wfs
 open Bechamel
@@ -29,7 +30,8 @@ let series_rows : (string * Obs.Json.t) list ref = ref []
 
 (* Wall-clock duration + monotonic start stamp of every section run, so
    perf trajectories in [series]/[ns_per_op] can be correlated with a
-   [--profile] trace of the same process (both clocks are Clock.now_ns). *)
+   [--trace-out] trace of the same process (both clocks are
+   Clock.now_ns). *)
 let section_timings : (string * Obs.Json.t) list ref = ref []
 
 let record_ns name ns r2 = ols_rows := (name, ns, r2) :: !ols_rows
@@ -169,10 +171,10 @@ let benchmark_and_print tests =
 
 let section title = Fmt.pr "@.=== %s ===@.@." title
 
+(* [f ()] and its wall-clock seconds, on the monotonic Clock.now_ns. *)
 let time_once f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  let r, ns = Obs.Clock.elapsed_ns f in
+  (r, float_of_int ns *. 1e-9)
 
 (* The middle sample; for an even count, the mean of the two middle
    samples. *)
@@ -192,6 +194,40 @@ let median_time ~reps f =
     (Array.init reps (fun _ ->
          Gc.minor ();
          snd (time_once f)))
+
+(* Min-of-[reps] seconds of [run] with an instrumentation mode off and
+   on ([set false] / [set true]), as [(off, on, overhead_pct)].  Both
+   modes are warmed first.  Each rep times the two back to back, so
+   both face the same machine drift: timing an off block, then an on
+   block, let a slow phase of the shared box masquerade as tens of
+   percent of (anti-)overhead.  The within-pair order alternates rep to
+   rep, because the second run of a pair tends to be faster (warmer
+   caches).  The mode is left on whatever [set] last chose. *)
+let off_vs_on ~reps ~set run =
+  set false;
+  run ();
+  set true;
+  run ();
+  let off = ref infinity and on_ = ref infinity in
+  let timed mode =
+    set mode;
+    Gc.minor ();
+    let (), dt = time_once run in
+    let cell = if mode then on_ else off in
+    if dt < !cell then cell := dt
+  in
+  for rep = 1 to reps do
+    if rep land 1 = 0 then begin
+      timed false;
+      timed true
+    end
+    else begin
+      timed true;
+      timed false
+    end
+  done;
+  let off = !off and on_ = !on_ in
+  (off, on_, if off > 0. then (on_ -. off) /. off *. 100. else 0.)
 
 (* An integer knob from the environment, clamped to [lo, hi].  A value
    that does not parse stops the harness with exit 2, naming the
@@ -486,13 +522,12 @@ let universal_service () =
      scaling, background load), which otherwise dominates their ratio
      on a shared machine. *)
   let time_rep apply =
-    let t0 = Obs.Clock.now_ns () in
-    ignore
-      (Runtime.Primitives.run_domains domains (fun pid ->
-           for _ = 1 to per_domain do
-             apply ~pid
-           done));
-    float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9
+    snd
+      (time_once (fun () ->
+           Runtime.Primitives.run_domains domains (fun pid ->
+               for _ = 1 to per_domain do
+                 apply ~pid
+               done)))
   in
   let names = [| "batched-wait-free"; "lock-free" |] in
   let fresh i =
@@ -1400,39 +1435,8 @@ let profile_overhead () =
     done
   in
   let was_hot = Obs.Metrics.hot () in
-  (* interleaved min-of-reps — each rep times metrics-off and
-     metrics-on back to back, so both sides face the same machine
-     drift; sequential off-block-then-on-block measurement let a slow
-     phase of the shared box masquerade as tens of percent of
-     (anti-)overhead *)
-  Obs.Metrics.set_hot false;
-  wf_run ();
-  Obs.Metrics.set_hot true;
-  wf_run ();
-  let off = ref infinity and on_ = ref infinity in
-  let timed hot =
-    Obs.Metrics.set_hot hot;
-    Gc.minor ();
-    let (), dt = time_once wf_run in
-    let cell = if hot then on_ else off in
-    if dt < !cell then cell := dt
-  in
-  (* alternate the within-pair order rep to rep: the second run of a
-     pair tends to be faster (warmer caches), and a fixed order would
-     book that as (anti-)overhead *)
-  for rep = 1 to reps do
-    if rep land 1 = 0 then begin
-      timed false;
-      timed true
-    end
-    else begin
-      timed true;
-      timed false
-    end
-  done;
+  let off, on_, pct = off_vs_on ~reps ~set:Obs.Metrics.set_hot wf_run in
   Obs.Metrics.set_hot was_hot;
-  let off = !off and on_ = !on_ in
-  let pct = if off > 0. then (on_ -. off) /. off *. 100. else 0. in
   record_series "profile/wait-free-metrics"
     (Obs.Json.obj
        [
@@ -1450,12 +1454,9 @@ let profile_overhead () =
 
 (* ---------- obs-causal: sampled causal tracing overhead ----------
 
-   The Causal contract (ISSUE 10): 1-in-64 sampled tracing on the
-   universal-service hot path costs <= 5%.  Same discipline as
-   profile/wait-free-metrics: interleaved min-of-reps with the
-   within-pair order alternated rep to rep, so machine drift and cache
-   warmth cancel instead of masquerading as (anti-)overhead.  The help
-   canary stays off — it deliberately parks invocations, so it belongs
+   The Causal contract: 1-in-64 sampled tracing on the universal-service
+   hot path costs <= 5%, measured with [off_vs_on] like
+   profile/wait-free-metrics.  The help canary stays off — it deliberately parks invocations, so it belongs
    to trace-quality runs, not to the overhead budget. *)
 
 let obs_causal () =
@@ -1476,32 +1477,8 @@ let obs_causal () =
       Obs.Ring.reset ()
     end
   in
-  (* warm both modes before timing anything *)
+  let off, on_, pct = off_vs_on ~reps ~set:set_traced run in
   set_traced false;
-  run ();
-  set_traced true;
-  run ();
-  let off = ref infinity and on_ = ref infinity in
-  let timed traced =
-    set_traced traced;
-    Gc.minor ();
-    let (), dt = time_once run in
-    let cell = if traced then on_ else off in
-    if dt < !cell then cell := dt
-  in
-  for rep = 1 to reps do
-    if rep land 1 = 0 then begin
-      timed false;
-      timed true
-    end
-    else begin
-      timed true;
-      timed false
-    end
-  done;
-  set_traced false;
-  let off = !off and on_ = !on_ in
-  let pct = if off > 0. then (on_ -. off) /. off *. 100. else 0. in
   record_series "obs-causal/universal-service"
     (Obs.Json.obj
        [

@@ -16,6 +16,8 @@
                  service (differential / linearizability checked)
      serve       hold the universal object service under sustained
                  load, exporting live metrics for wfs top
+     trace       summarize a --trace-out recording; --audit checks the
+                 wait-freedom bound and that help edges form a DAG
      randomized  check the randomized register-consensus extension
      stats       run a fixed workload and dump the metrics snapshot
                  (--watch N live-renders a humanized summary meanwhile)
@@ -23,6 +25,11 @@
                  polling the OpenMetrics file or HTTP endpoint that
                  --metrics-out / --metrics-port publish
      zoo         list the object zoo
+
+   hierarchy, verify, census, load and serve share one set of
+   observability flags: --progress, --trace-out FILE (record the
+   per-domain event ring, write it as Perfetto JSON), --metrics-out FILE
+   and --metrics-port PORT.
 
    Exit codes, uniformly: 0 = checked and passed, 1 = a violation /
    failed check / exhausted budget, 2 = bad input (unknown protocol,
@@ -34,19 +41,34 @@ open Wfs
 
 (* --- shared -j plumbing ---
 
+   [jobs_term] yields [with_jobs f], which runs [f] with the pool.
    [-j 1] (the default) never constructs a pool, so those runs go
    through the sequential engines untouched — byte-identical output to
-   a build without the pool.  [-j 0] means "all cores". *)
+   a build without the pool.  [-j 0] means "all cores"; a negative [-j]
+   is bad input and exits 2. *)
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Verification domains: shard independent verifications (and, \
-           for verify, the exploration itself) across $(docv) domains. \
-           1 = sequential engines, byte-identical to previous releases; \
-           0 = one domain per core.")
+let jobs_term =
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Verification domains: shard independent verifications (and, \
+             for verify, the exploration itself) across $(docv) domains. \
+             1 = sequential engines, byte-identical to previous releases; \
+             0 = one domain per core.")
+  in
+  let with_jobs j f =
+    if j < 0 then begin
+      Fmt.epr "-j must be >= 0 (got %d)@." j;
+      2
+    end
+    else
+      let domains = if j = 0 then Domain.recommended_domain_count () else j in
+      if domains <= 1 then f None
+      else Pool.with_pool ~domains (fun pool -> f (Some pool))
+  in
+  Term.(const with_jobs $ jobs)
 
 let no_por_arg =
   Arg.(
@@ -71,90 +93,96 @@ let no_tt_arg =
            historical search is reproduced node for node \
            (differential runs, search-size comparisons).")
 
-(* Returns [None] for invalid [j] so callers can exit 2 uniformly. *)
-let with_jobs j f =
-  if j < 0 then None
-  else
-    let domains = if j = 0 then Domain.recommended_domain_count () else j in
-    if domains <= 1 then Some (f None)
-    else
-      Pool.with_pool ~domains (fun pool -> Some (f (Some pool)))
+(* --- shared observability plumbing ---
 
-let bad_jobs j =
-  Fmt.epr "-j must be >= 0 (got %d)@." j;
-  2
+   [obs_term] gathers the four observability flags; [with_obs] runs a
+   command under them.  It must wrap [with_jobs]: the ring has to be
+   recording before the pool spawns its workers (each worker announces
+   itself to the trace at startup), and the trace is written only after
+   the wrapped run returns — by then the pool has been shut down and
+   joined, so every domain's ring is quiescent. *)
 
-(* --- shared --progress / --profile plumbing ---
+type obs = {
+  progress : bool;
+  trace_out : string option;
+  metrics_out : string option;
+  metrics_port : int option;
+}
 
-   [obs_setup] must wrap [with_jobs]: profiling has to be on before the
-   pool spawns its workers (each worker announces itself to the trace at
-   startup), and the profile is written only after the wrapped run
-   returns — by then the pool has been shut down and joined, so every
-   domain's ring buffer is quiescent. *)
+let obs_term =
+  let progress =
+    Arg.(
+      value & flag
+      & info [ "progress" ]
+          ~doc:
+            "Print a heartbeat line to stderr (states, rate, elapsed) at \
+             most once per second while the exploration runs.")
+  in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Record the run into the per-domain event ring and write it to \
+             $(docv) as Chrome trace_event JSON, one thread row per domain \
+             (load in ui.perfetto.dev or chrome://tracing): spans for pool \
+             jobs, steals, exploration phases and solver runs, and under \
+             load/serve the causal invocation phases, with help chains as \
+             flow arrows between rows.  Audit it offline with wfs trace.")
+  in
+  let metrics_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:
+            "Sample the metrics registry once per second and atomically \
+             rewrite $(docv) with the OpenMetrics text exposition — a live \
+             scrape target for wfs top and CI.")
+  in
+  let metrics_port =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "metrics-port" ] ~docv:"PORT"
+          ~doc:
+            "Serve the latest metrics snapshot as OpenMetrics text over \
+             HTTP on localhost:$(docv) (GET /metrics) while the run is in \
+             flight.")
+  in
+  let make progress trace_out metrics_out metrics_port =
+    { progress; trace_out; metrics_out; metrics_port }
+  in
+  Term.(const make $ progress $ trace_out $ metrics_out $ metrics_port)
 
-let progress_arg =
-  Arg.(
-    value & flag
-    & info [ "progress" ]
-        ~doc:
-          "Print a heartbeat line to stderr (states, rate, elapsed) at \
-           most once per second while the exploration runs.")
+(* While tracing, every 64th announce ticket takes the helped slow path
+   (briefly parking after announcing), so cross-client help edges are
+   recorded even when domains time-slice and never race.  Off otherwise:
+   the canary deliberately parks invocations. *)
+let canary obs = if obs.trace_out = None then 0 else 64
 
-let profile_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile" ] ~docv:"FILE"
-        ~doc:
-          "Record a span profile of the run and write it to $(docv) as \
-           Chrome trace_event JSON (load in ui.perfetto.dev or \
-           chrome://tracing).")
-
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Sample the metrics registry once per second and atomically \
-           rewrite $(docv) with the OpenMetrics text exposition — a live \
-           scrape target for wfs top and CI.")
-
-let metrics_port_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "metrics-port" ] ~docv:"PORT"
-        ~doc:
-          "Serve the latest metrics snapshot as OpenMetrics text over \
-           HTTP on localhost:$(docv) (GET /metrics) while the run is in \
-           flight.")
-
-let dropped_note () =
-  match Obs.Ring.dropped () with
-  | 0 -> ""
-  | d -> Fmt.str ", %d dropped" d
-
-let obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label
-    ?(crashes = 0) f =
+(* [record] (default: iff --trace-out) turns the ring on, sampling one
+   causal invocation in [sample]. *)
+let with_obs obs ?(crashes = 0) ?(record = obs.trace_out <> None) ?sample
+    ~label f =
   (* the sampler starts first so its ring already has a baseline when
      the pool spawns, and stops last so the final file-sink rewrite
      carries the complete end-of-run values *)
   let sampler =
-    match (metrics_out, metrics_port) with
+    match (obs.metrics_out, obs.metrics_port) with
     | None, None -> Ok None
     | out_file, port -> (
         try Ok (Some (Obs.Sampler.start ?out_file ?port ()))
-        with Unix.Unix_error (e, _, _) ->
-          Error (Unix.error_message e))
+        with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
   in
   match sampler with
   | Error msg ->
       Fmt.epr "cannot start metrics sampler: %s@." msg;
       2
   | Ok sampler -> (
-      if progress then Obs.Progress.start ~crashes label;
-      (match profile with Some _ -> Obs.Ring.enable () | None -> ());
+      if obs.progress then Obs.Progress.start ~crashes label;
+      if record then Obs.Ring.enable ?sample ();
       (* a live sampler implies the hot-path counters should record:
          without this the runtime's gated universal_rt/service metrics
          export as zeros *)
@@ -162,21 +190,24 @@ let obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label
       if sampler <> None then Obs.Metrics.set_hot true;
       let finish () =
         Obs.Metrics.set_hot was_hot;
-        if progress then Obs.Progress.finish ();
-        (match profile with
-        | Some path ->
-            Obs.Ring.disable ();
+        if obs.progress then Obs.Progress.finish ();
+        if record then Obs.Ring.disable ();
+        Option.iter
+          (fun path ->
             Obs.Ring.write path;
-            Fmt.epr "profile written to %s (%d events%s)@." path
-              (Obs.Ring.recorded ()) (dropped_note ())
-        | None -> ());
-        match sampler with
-        | Some s ->
+            Fmt.epr "trace written to %s (%d events, %d help edges%s)@." path
+              (Obs.Ring.recorded ()) (Obs.Ring.help_edges ())
+              (match Obs.Ring.dropped () with
+              | 0 -> ""
+              | d -> Fmt.str ", %d dropped" d))
+          obs.trace_out;
+        Option.iter
+          (fun s ->
             Obs.Sampler.stop s;
             Option.iter
               (fun path -> Fmt.epr "metrics written to %s@." path)
-              metrics_out
-        | None -> ()
+              obs.metrics_out)
+          sampler
       in
       match f () with
       | code ->
@@ -186,132 +217,79 @@ let obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label
           finish ();
           raise e)
 
+(* --- lookups: an unknown name or an unsupported n is bad input --- *)
+
+let with_protocol key n f =
+  match (Registry.find key).Registry.build ~n with
+  | exception Invalid_argument msg ->
+      Fmt.epr "%s@." msg;
+      2
+  | None ->
+      Fmt.epr "%s does not support n = %d@." key n;
+      2
+  | Some protocol -> f protocol
+
+let with_zoo_object name f =
+  match Zoo.find name with
+  | exception Invalid_argument msg ->
+      Fmt.epr "%s@." msg;
+      2
+  | spec -> f spec
+
+let read_whole_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 (* --- hierarchy --- *)
 
-let hierarchy_full_arg =
-  Arg.(value & flag & info [ "full" ] ~doc:"Include the expensive solver instances (minutes).")
-
-let hierarchy_run ~progress ~profile ?metrics_out ?metrics_port full no_por
-    no_tt j =
-  obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label:"hierarchy"
-    (fun () ->
-      match
-        with_jobs j (fun pool ->
-            let table =
-              Table.generate ?pool ~full ~por:(not no_por) ~tt:(not no_tt) ()
-            in
-            Fmt.pr "%a@." Table.pp table;
-            if Table.consistent table then begin
-              Fmt.pr "@.All rows consistent with Figure 1-1.@.";
-              0
-            end
-            else begin
-              Fmt.pr "@.INCONSISTENT rows found!@.";
-              1
-            end)
-      with
-      | Some code -> code
-      | None -> bad_jobs j)
-
 let hierarchy_cmd =
-  let run full no_por no_tt j progress profile metrics_out metrics_port =
-    hierarchy_run ~progress ~profile ?metrics_out ?metrics_port full no_por
-      no_tt j
+  let full =
+    Arg.(
+      value & flag
+      & info [ "full" ] ~doc:"Include the expensive solver instances (minutes).")
+  in
+  let run full no_por no_tt with_jobs obs =
+    with_obs obs ~label:"hierarchy" @@ fun () ->
+    with_jobs @@ fun pool ->
+    let table =
+      Table.generate ?pool ~full ~por:(not no_por) ~tt:(not no_tt) ()
+    in
+    Fmt.pr "%a@." Table.pp table;
+    if Table.consistent table then begin
+      Fmt.pr "@.All rows consistent with Figure 1-1.@.";
+      0
+    end
+    else begin
+      Fmt.pr "@.INCONSISTENT rows found!@.";
+      1
+    end
   in
   Cmd.v
     (Cmd.info "hierarchy" ~doc:"Regenerate the Figure 1-1 hierarchy table")
-    Term.(
-      const run $ hierarchy_full_arg $ no_por_arg $ no_tt_arg $ jobs_arg
-      $ progress_arg $ profile_arg $ metrics_out_arg $ metrics_port_arg)
+    Term.(const run $ full $ no_por_arg $ no_tt_arg $ jobs_term $ obs_term)
 
 (* --- verify --- *)
 
-let verify_key_arg =
-  let keys = Registry.keys () in
-  let doc = Fmt.str "Protocol key: one of %s." (String.concat ", " keys) in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"PROTOCOL" ~doc)
-
-let verify_n_arg =
-  Arg.(value & opt int 2 & info [ "n" ] ~doc:"Number of processes.")
-
-let verify_max_states_arg =
-  Arg.(
-    value & opt int 2_000_000
-    & info [ "max-states" ]
-        ~doc:"State budget for the exhaustive exploration.")
-
-let verify_max_depth_arg =
-  Arg.(
-    value & opt int 10_000
-    & info [ "max-depth" ] ~doc:"Depth budget for the exploration DFS.")
-
-let verify_crashes_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "crashes" ]
-        ~doc:
-          "Crash-stop adversary budget: additionally quantify over every \
-           placement of up to this many permanent process halts \
-           (wait-freedom's own failure model). 0 checks the crash-free \
-           semantics.")
-
-let verify_run ~progress ~profile ?metrics_out ?metrics_port key n max_states
-    max_depth out crashes no_por j =
-  if crashes < 0 || crashes >= n then begin
-    Fmt.epr "--crashes must be in [0, n-1] (got %d with n = %d)@." crashes n;
-    2
-  end
-  else
-    match (Registry.find key).Registry.build ~n with
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        2
-    | None ->
-        Fmt.epr "%s does not support n = %d@." key n;
-        2
-    | Some protocol ->
-        obs_setup ~progress ~profile ?metrics_out ?metrics_port ~crashes
-          ~label:(Fmt.str "verify %s n=%d" key n)
-          (fun () ->
-            match
-              with_jobs j (fun pool ->
-                  let report =
-                    Protocol.verify ~max_states ~max_depth ~crashes
-                      ~por:(not no_por) ?pool protocol
-                  in
-                  Fmt.pr "%s (%s), n = %d:@.%a@." protocol.Protocol.name
-                    protocol.Protocol.theorem n Protocol.pp_report report;
-                  if report.Protocol.truncated then
-                    Fmt.pr
-                      "exploration truncated by the %s — raise --max-states / \
-                       --max-depth for a complete verdict@."
-                      (Protocol.truncation_label report.Protocol.truncation);
-                  if Protocol.passed report then 0
-                  else begin
-                    (match
-                       Protocol.find_violation ~max_states ~crashes ?pool
-                         protocol
-                     with
-                    | Some v ->
-                        Fmt.pr "@.counterexample: %a@." Protocol.pp_violation v;
-                        (match out with
-                        | Some path ->
-                            Obs.Counterexample.save path
-                              (Protocol.violation_to_counterexample
-                                 ~protocol:key ~n v);
-                            Fmt.pr "counterexample written to %s@." path
-                        | None -> ())
-                    | None ->
-                        Fmt.pr
-                          "@.no schedule-shaped counterexample (failure is a \
-                           cycle, truncation or stuck process)@.");
-                    1
-                  end)
-            with
-            | Some code -> code
-            | None -> bad_jobs j)
-
 let verify_cmd =
+  let key =
+    let keys = Registry.keys () in
+    let doc = Fmt.str "Protocol key: one of %s." (String.concat ", " keys) in
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"PROTOCOL" ~doc)
+  in
+  let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Number of processes.") in
+  let max_states =
+    Arg.(
+      value & opt int 2_000_000
+      & info [ "max-states" ]
+          ~doc:"State budget for the exhaustive exploration.")
+  in
+  let max_depth =
+    Arg.(
+      value & opt int 10_000
+      & info [ "max-depth" ] ~doc:"Depth budget for the exploration DFS.")
+  in
   let out =
     Arg.(
       value
@@ -321,10 +299,53 @@ let verify_cmd =
             "On violation, export the counterexample schedule to $(docv) \
              as replayable JSON (see the replay subcommand).")
   in
-  let run key n max_states max_depth out crashes no_por j progress profile
-      metrics_out metrics_port =
-    verify_run ~progress ~profile ?metrics_out ?metrics_port key n max_states
-      max_depth out crashes no_por j
+  let crashes =
+    Arg.(
+      value & opt int 0
+      & info [ "crashes" ]
+          ~doc:
+            "Crash-stop adversary budget: additionally quantify over every \
+             placement of up to this many permanent process halts \
+             (wait-freedom's own failure model). 0 checks the crash-free \
+             semantics.")
+  in
+  let run key n max_states max_depth out crashes no_por with_jobs obs =
+    if crashes < 0 || crashes >= n then begin
+      Fmt.epr "--crashes must be in [0, n-1] (got %d with n = %d)@." crashes n;
+      2
+    end
+    else
+      with_protocol key n @@ fun protocol ->
+      with_obs obs ~crashes ~label:(Fmt.str "verify %s n=%d" key n) @@ fun () ->
+      with_jobs @@ fun pool ->
+      let report =
+        Protocol.verify ~max_states ~max_depth ~crashes ~por:(not no_por) ?pool
+          protocol
+      in
+      Fmt.pr "%s (%s), n = %d:@.%a@." protocol.Protocol.name
+        protocol.Protocol.theorem n Protocol.pp_report report;
+      if report.Protocol.truncated then
+        Fmt.pr
+          "exploration truncated by the %s — raise --max-states / \
+           --max-depth for a complete verdict@."
+          (Protocol.truncation_label report.Protocol.truncation);
+      if Protocol.passed report then 0
+      else begin
+        (match Protocol.find_violation ~max_states ~crashes ?pool protocol with
+        | Some v ->
+            Fmt.pr "@.counterexample: %a@." Protocol.pp_violation v;
+            Option.iter
+              (fun path ->
+                Obs.Counterexample.save path
+                  (Protocol.violation_to_counterexample ~protocol:key ~n v);
+                Fmt.pr "counterexample written to %s@." path)
+              out
+        | None ->
+            Fmt.pr
+              "@.no schedule-shaped counterexample (failure is a cycle, \
+               truncation or stuck process)@.");
+        1
+      end
   in
   Cmd.v
     (Cmd.info "verify"
@@ -332,10 +353,8 @@ let verify_cmd =
          "Exhaustively verify a consensus protocol over all schedules, \
           optionally under a crash-stop adversary (--crashes)")
     Term.(
-      const run $ verify_key_arg $ verify_n_arg $ verify_max_states_arg
-      $ verify_max_depth_arg $ out $ verify_crashes_arg $ no_por_arg
-      $ jobs_arg $ progress_arg $ profile_arg $ metrics_out_arg
-      $ metrics_port_arg)
+      const run $ key $ n $ max_states $ max_depth $ out $ crashes $ no_por_arg
+      $ jobs_term $ obs_term)
 
 (* --- replay --- *)
 
@@ -360,29 +379,19 @@ let replay_cmd =
         2
     | ce -> (
         Fmt.pr "%a@." Obs.Counterexample.pp ce;
-        match
-          (Registry.find ce.Obs.Counterexample.protocol).Registry.build
-            ~n:ce.Obs.Counterexample.n
-        with
+        with_protocol ce.Obs.Counterexample.protocol ce.Obs.Counterexample.n
+        @@ fun protocol ->
+        match Protocol.replay_counterexample protocol ce with
+        | Ok v ->
+            Fmt.pr "@.reproduced deterministically: %a@." Protocol.pp_violation
+              v;
+            0
+        | Error reason ->
+            Fmt.pr "@.NOT reproduced: %s@." reason;
+            1
         | exception Invalid_argument msg ->
             Fmt.epr "%s@." msg;
-            2
-        | None ->
-            Fmt.epr "%s does not support n = %d@."
-              ce.Obs.Counterexample.protocol ce.Obs.Counterexample.n;
-            2
-        | Some protocol -> (
-            match Protocol.replay_counterexample protocol ce with
-            | Ok v ->
-                Fmt.pr "@.reproduced deterministically: %a@."
-                  Protocol.pp_violation v;
-                0
-            | Error reason ->
-                Fmt.pr "@.NOT reproduced: %s@." reason;
-                1
-            | exception Invalid_argument msg ->
-                Fmt.epr "%s@." msg;
-                2))
+            2)
   in
   Cmd.v
     (Cmd.info "replay"
@@ -419,30 +428,26 @@ let solve_cmd =
              transposition context across the probes.")
   in
   let run object_name n depth budget no_por no_tt critical =
-    match Zoo.find object_name with
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        2
-    | spec ->
-        if critical then begin
-          let c =
-            Census.critical_depth ~max_nodes:budget ~por:(not no_por)
-              ~tt:(not no_tt) ~n ~max_depth:depth spec
-          in
-          Fmt.pr "%s, n = %d, max depth = %d:@.%a@." object_name n depth
-            Census.pp_critical c;
-          match c.Census.critical with Some _ -> 0 | None -> 1
-        end
-        else
-          let verdict =
-            Solver.solve ~max_nodes:budget ~por:(not no_por) ~tt:(not no_tt)
-              (Solver.of_spec ~n ~depth spec)
-          in
-          Fmt.pr "%s, n = %d, depth = %d:@.%a@." object_name n depth
-            Solver.pp_verdict verdict;
-          (match verdict with
-          | Solver.Solvable _ | Solver.Unsolvable -> 0
-          | Solver.Out_of_budget _ -> 1)
+    with_zoo_object object_name @@ fun spec ->
+    if critical then begin
+      let c =
+        Census.critical_depth ~max_nodes:budget ~por:(not no_por)
+          ~tt:(not no_tt) ~n ~max_depth:depth spec
+      in
+      Fmt.pr "%s, n = %d, max depth = %d:@.%a@." object_name n depth
+        Census.pp_critical c;
+      match c.Census.critical with Some _ -> 0 | None -> 1
+    end
+    else
+      let verdict =
+        Solver.solve ~max_nodes:budget ~por:(not no_por) ~tt:(not no_tt)
+          (Solver.of_spec ~n ~depth spec)
+      in
+      Fmt.pr "%s, n = %d, depth = %d:@.%a@." object_name n depth
+        Solver.pp_verdict verdict;
+      match verdict with
+      | Solver.Solvable _ | Solver.Unsolvable -> 0
+      | Solver.Out_of_budget _ -> 1
   in
   Cmd.v
     (Cmd.info "solve"
@@ -468,31 +473,26 @@ let universal_cmd =
       & info [ "variant" ] ~doc:"Construction: log or truncating.")
   in
   let run target variant =
-    match Zoo.find target with
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        2
-    | spec ->
-        let menu = Array.of_list spec.Object_spec.menu in
-        let scripts =
-          [| [ menu.(0); menu.(1 mod Array.length menu) ]; [ menu.(0) ] |]
-        in
-        (match variant with
-        | `Log ->
-            let v = Log_universal.verify ~target:spec ~scripts () in
-            Fmt.pr
-              "log universal construction of %s: ok=%b states=%d terminals=%d@."
-              target v.Log_universal.ok v.Log_universal.states
-              v.Log_universal.terminals;
-            if v.Log_universal.ok then 0 else 1
-        | `Truncating ->
-            let v = Truncating_universal.verify ~target:spec ~scripts () in
-            Fmt.pr
-              "truncating universal construction of %s: ok=%b states=%d \
-               max-replay=%d@."
-              target v.Truncating_universal.ok v.Truncating_universal.states
-              v.Truncating_universal.max_replay;
-            if v.Truncating_universal.ok then 0 else 1)
+    with_zoo_object target @@ fun spec ->
+    let menu = Array.of_list spec.Object_spec.menu in
+    let scripts =
+      [| [ menu.(0); menu.(1 mod Array.length menu) ]; [ menu.(0) ] |]
+    in
+    match variant with
+    | `Log ->
+        let v = Log_universal.verify ~target:spec ~scripts () in
+        Fmt.pr "log universal construction of %s: ok=%b states=%d terminals=%d@."
+          target v.Log_universal.ok v.Log_universal.states
+          v.Log_universal.terminals;
+        if v.Log_universal.ok then 0 else 1
+    | `Truncating ->
+        let v = Truncating_universal.verify ~target:spec ~scripts () in
+        Fmt.pr
+          "truncating universal construction of %s: ok=%b states=%d \
+           max-replay=%d@."
+          target v.Truncating_universal.ok v.Truncating_universal.states
+          v.Truncating_universal.max_replay;
+        if v.Truncating_universal.ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "universal"
@@ -501,69 +501,59 @@ let universal_cmd =
 
 (* --- census --- *)
 
-let census_budget_arg =
-  Arg.(value & opt int 30_000_000
-       & info [ "budget" ] ~doc:"Search-node budget per solver run.")
-
-let census_max_states_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "max-states" ]
-        ~doc:
-          "Cap on solver search nodes per run (lower of this and \
-           --budget wins).")
-
-let census_max_depth_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "max-depth" ]
-        ~doc:
-          "Cap on operations per process (bounds both the n=2 and n=3 \
-           instances; defaults are 2 and 1).")
-
-let census_run ~progress ~profile ?metrics_out ?metrics_port budget max_states
-    max_depth no_por no_tt j =
-  let max_nodes =
-    match max_states with Some s -> min s budget | None -> budget
-  in
-  let depth2 = match max_depth with Some d -> min d 2 | None -> 2 in
-  let depth3 = match max_depth with Some d -> min d 1 | None -> 1 in
-  obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label:"census"
-    (fun () ->
-      match
-        with_jobs j (fun pool ->
-            Fmt.pr
-              "solver-only census (bounded: n=2 within %d op(s), n=3 within %d \
-               op(s),@.over initializations reachable in ≤ 2 operations):@.@."
-              depth2 depth3;
-            let results =
-              Census.run ~depth2 ~depth3 ~max_nodes ~por:(not no_por)
-                ~tt:(not no_tt) ?pool ()
-            in
-            Fmt.pr "%a@." Census.pp results;
-            let budget_hit =
-              List.exists
-                (fun (m : Census.measurement) ->
-                  fst m.Census.two_proc = Census.Budget
-                  || fst m.Census.three_proc = Census.Budget)
-                results
-            in
-            if budget_hit then begin
-              Fmt.pr
-                "@.some verdicts hit the node budget — raise --budget / \
-                 --max-states for a conclusive census@.";
-              1
-            end
-            else 0)
-      with
-      | Some code -> code
-      | None -> bad_jobs j)
-
 let census_cmd =
-  let run budget max_states max_depth no_por no_tt j progress profile
-      metrics_out metrics_port =
-    census_run ~progress ~profile ?metrics_out ?metrics_port budget max_states
-      max_depth no_por no_tt j
+  let budget =
+    Arg.(
+      value & opt int 30_000_000
+      & info [ "budget" ] ~doc:"Search-node budget per solver run.")
+  in
+  let max_states =
+    Arg.(
+      value & opt (some int) None
+      & info [ "max-states" ]
+          ~doc:
+            "Cap on solver search nodes per run (lower of this and \
+             --budget wins).")
+  in
+  let max_depth =
+    Arg.(
+      value & opt (some int) None
+      & info [ "max-depth" ]
+          ~doc:
+            "Cap on operations per process (bounds both the n=2 and n=3 \
+             instances; defaults are 2 and 1).")
+  in
+  let run budget max_states max_depth no_por no_tt with_jobs obs =
+    let max_nodes =
+      match max_states with Some s -> min s budget | None -> budget
+    in
+    let depth2 = match max_depth with Some d -> min d 2 | None -> 2 in
+    let depth3 = match max_depth with Some d -> min d 1 | None -> 1 in
+    with_obs obs ~label:"census" @@ fun () ->
+    with_jobs @@ fun pool ->
+    Fmt.pr
+      "solver-only census (bounded: n=2 within %d op(s), n=3 within %d \
+       op(s),@.over initializations reachable in ≤ 2 operations):@.@."
+      depth2 depth3;
+    let results =
+      Census.run ~depth2 ~depth3 ~max_nodes ~por:(not no_por) ~tt:(not no_tt)
+        ?pool ()
+    in
+    Fmt.pr "%a@." Census.pp results;
+    let budget_hit =
+      List.exists
+        (fun (m : Census.measurement) ->
+          fst m.Census.two_proc = Census.Budget
+          || fst m.Census.three_proc = Census.Budget)
+        results
+    in
+    if budget_hit then begin
+      Fmt.pr
+        "@.some verdicts hit the node budget — raise --budget / \
+         --max-states for a conclusive census@.";
+      1
+    end
+    else 0
   in
   Cmd.v
     (Cmd.info "census"
@@ -571,9 +561,8 @@ let census_cmd =
          "Measure every zoo object's bounded consensus number with the \
           solver alone")
     Term.(
-      const run $ census_budget_arg $ census_max_states_arg
-      $ census_max_depth_arg $ no_por_arg $ no_tt_arg $ jobs_arg
-      $ progress_arg $ profile_arg $ metrics_out_arg $ metrics_port_arg)
+      const run $ budget $ max_states $ max_depth $ no_por_arg $ no_tt_arg
+      $ jobs_term $ obs_term)
 
 (* --- critical --- *)
 
@@ -594,28 +583,20 @@ let critical_cmd =
              even the adversary's halts commit the outcome.")
   in
   let run key n crashes =
-    match (Registry.find key).Registry.build ~n with
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        2
+    with_protocol key n @@ fun protocol ->
+    match Valency.find_critical ~crashes protocol.Protocol.config with
+    | Some crit ->
+        Fmt.pr "critical state of %s: bivalent, every successor univalent@."
+          protocol.Protocol.name;
+        List.iter
+          (fun (pid, _, v) ->
+            Fmt.pr "  P%d moves next  =>  outcome pinned to %a@." pid
+              Valency.pp_valency v)
+          crit.Valency.branches;
+        0
     | None ->
-        Fmt.epr "%s does not support n = %d@." key n;
-        2
-    | Some protocol -> (
-        match Valency.find_critical ~crashes protocol.Protocol.config with
-        | Some crit ->
-            Fmt.pr
-              "critical state of %s: bivalent, every successor univalent@."
-              protocol.Protocol.name;
-            List.iter
-              (fun (pid, _, v) ->
-                Fmt.pr "  P%d moves next  =>  outcome pinned to %a@." pid
-                  Valency.pp_valency v)
-              crit.Valency.branches;
-            0
-        | None ->
-            Fmt.pr "no critical state reachable (protocol univalent?)@.";
-            1)
+        Fmt.pr "no critical state reachable (protocol univalent?)@.";
+        1
   in
   Cmd.v
     (Cmd.info "critical"
@@ -684,20 +665,6 @@ let service_spec name =
     (fun s -> s.Object_spec.name = name)
     (Runtime.Service.default_specs ())
 
-(* --- causal tracing plumbing (shared by load and serve) --- *)
-
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Record causal invocation traces (announce/claim/help/complete \
-           phases plus help edges) and write the merged Chrome \
-           trace_event JSON to $(docv) — help chains render as flow \
-           arrows between domain tracks in ui.perfetto.dev; audit it \
-           offline with wfs trace.")
-
 let trace_sample_arg =
   Arg.(
     value & opt int 64
@@ -705,34 +672,6 @@ let trace_sample_arg =
         ~doc:
           "Trace one invocation in $(docv) (rounded up to a power of \
            two); 1 traces everything.")
-
-let help_canary_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "help-canary" ] ~docv:"N"
-        ~doc:
-          "Route every $(docv)-th announce ticket through the helped slow \
-           path (briefly parking after announcing) so cross-client help \
-           edges are recorded even when domains time-slice and never \
-           race.  Only meaningful while tracing; defaults to 64 when \
-           --trace-out is given, else off.")
-
-let resolve_canary ~trace_out ~help_canary =
-  match help_canary with
-  | Some c -> c
-  | None -> if trace_out <> None then 64 else 0
-
-(* After a traced run: write the Perfetto trace if requested and
-   report the recording volume. *)
-let finish_trace ~trace_out =
-  (match trace_out with
-  | Some path ->
-      Obs.Ring.write path;
-      Fmt.epr "causal trace written to %s (%d events, %d help edges%s)@."
-        path (Obs.Ring.recorded ()) (Obs.Ring.help_edges ()) (dropped_note ())
-  | None -> ());
-  Obs.Ring.disable ()
 
 let load_cmd =
   let clients =
@@ -752,55 +691,49 @@ let load_cmd =
             "Clients to halt mid-operation; crash runs record the history \
              and check it for linearizability, so --ops must stay small.")
   in
-  let run clients ops object_name window seed halts trace_out trace_sample
-      help_canary progress profile metrics_out metrics_port =
-    obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label:"load"
-      (fun () ->
-        match service_spec object_name with
-        | None ->
-            Fmt.epr "unknown object %S (try fifo-queue, counter, kv-map)@."
-              object_name;
-            2
-        | Some spec ->
-            (* Causal tracing is always on under load (sampled, so the
-               hot path stays within budget): the rings double as the
-               crash flight recorder, dumped as JSONL whenever the run
-               fails its checks or the harness dies mid-flight. *)
-            let canary = resolve_canary ~trace_out ~help_canary in
-            Obs.Ring.enable ~sample:trace_sample ();
-            let flight_path =
-              match trace_out with
-              | Some f -> f ^ ".flight.jsonl"
-              | None -> "wfs-flight.jsonl"
-            in
-            let ok = ref false in
-            Fun.protect
-              ~finally:(fun () ->
-                (* runs even when the harness aborts via exception: the
-                   post-mortem is most valuable exactly then *)
-                if not !ok then begin
-                  let lines = Obs.Ring.dump_jsonl flight_path in
-                  Fmt.epr "flight recorder: %d events -> %s@." lines
-                    flight_path
-                end;
-                finish_trace ~trace_out)
-              (fun () ->
-                match
-                  Runtime.Service.Load.run ~seed ~window ~halts ~spec ~canary
-                    ~clients ~ops_per_client:ops ()
-                with
-                | exception Invalid_argument msg ->
-                    (* an input error, not a crashed run: no post-mortem *)
-                    ok := true;
-                    Fmt.epr "%s@." msg;
-                    2
-                | r ->
-                    Fmt.pr "%a@." Runtime.Service.Load.pp_report r;
-                    if Runtime.Service.Load.passed r then begin
-                      ok := true;
-                      0
-                    end
-                    else 1))
+  let run clients ops object_name window seed halts trace_sample obs =
+    (* Causal tracing is always on under load (sampled, so the hot path
+       stays within budget): the rings double as the crash flight
+       recorder, dumped as JSONL whenever the run fails its checks or
+       the harness dies mid-flight. *)
+    with_obs obs ~record:true ~sample:trace_sample ~label:"load" @@ fun () ->
+    match service_spec object_name with
+    | None ->
+        Fmt.epr "unknown object %S (try fifo-queue, counter, kv-map)@."
+          object_name;
+        2
+    | Some spec ->
+        let flight_path =
+          match obs.trace_out with
+          | Some f -> f ^ ".flight.jsonl"
+          | None -> "wfs-flight.jsonl"
+        in
+        let ok = ref false in
+        Fun.protect
+          ~finally:(fun () ->
+            (* runs even when the harness aborts via exception: the
+               post-mortem is most valuable exactly then *)
+            if not !ok then begin
+              let lines = Obs.Ring.dump_jsonl flight_path in
+              Fmt.epr "flight recorder: %d events -> %s@." lines flight_path
+            end)
+          (fun () ->
+            match
+              Runtime.Service.Load.run ~seed ~window ~halts ~spec
+                ~canary:(canary obs) ~clients ~ops_per_client:ops ()
+            with
+            | exception Invalid_argument msg ->
+                (* an input error, not a crashed run: no post-mortem *)
+                ok := true;
+                Fmt.epr "%s@." msg;
+                2
+            | r ->
+                Fmt.pr "%a@." Runtime.Service.Load.pp_report r;
+                if Runtime.Service.Load.passed r then begin
+                  ok := true;
+                  0
+                end
+                else 1)
   in
   Cmd.v
     (Cmd.info "load"
@@ -814,9 +747,7 @@ let load_cmd =
           live with --metrics-port and wfs top.")
     Term.(
       const run $ clients $ ops $ service_object_arg $ service_window_arg
-      $ service_seed_arg $ halts $ trace_out_arg $ trace_sample_arg
-      $ help_canary_arg $ progress_arg $ profile_arg $ metrics_out_arg
-      $ metrics_port_arg)
+      $ service_seed_arg $ halts $ trace_sample_arg $ obs_term)
 
 let serve_cmd =
   let clients =
@@ -828,38 +759,29 @@ let serve_cmd =
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:"How long to keep the service under load before exiting.")
   in
-  let run clients duration window seed trace_out trace_sample help_canary
-      progress profile metrics_out metrics_port =
-    obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label:"serve"
-      (fun () ->
-        if clients <= 0 || duration <= 0. then begin
-          Fmt.epr "serve: clients and duration must be positive@.";
-          2
-        end
-        else begin
-          let canary = resolve_canary ~trace_out ~help_canary in
-          if trace_out <> None then
-            Obs.Ring.enable ~sample:trace_sample ();
-          let r =
-            Fun.protect
-              ~finally:(fun () ->
-                if trace_out <> None then finish_trace ~trace_out)
-              (fun () ->
-                Runtime.Service.serve ~seed ~window ~canary ~clients
-                  ~duration_s:duration ())
-          in
-          Fmt.pr "served %s operations in %.1fs (%s ops/s)@."
-            (Obs.Units.si_int r.Runtime.Service.served_ops)
-            (float_of_int r.Runtime.Service.serve_duration_ns *. 1e-9)
-            (Obs.Units.rate
-               (float_of_int r.Runtime.Service.served_ops
-               /. (float_of_int r.Runtime.Service.serve_duration_ns *. 1e-9)));
-          List.iter
-            (fun (name, len) ->
-              Fmt.pr "  %-12s %s ops threaded@." name (Obs.Units.si_int len))
-            r.Runtime.Service.per_object;
-          0
-        end)
+  let run clients duration window seed trace_sample obs =
+    with_obs obs ~sample:trace_sample ~label:"serve" @@ fun () ->
+    if clients <= 0 || duration <= 0. then begin
+      Fmt.epr "serve: clients and duration must be positive@.";
+      2
+    end
+    else begin
+      let r =
+        Runtime.Service.serve ~seed ~window ~canary:(canary obs) ~clients
+          ~duration_s:duration ()
+      in
+      Fmt.pr "served %s operations in %.1fs (%s ops/s)@."
+        (Obs.Units.si_int r.Runtime.Service.served_ops)
+        (float_of_int r.Runtime.Service.serve_duration_ns *. 1e-9)
+        (Obs.Units.rate
+           (float_of_int r.Runtime.Service.served_ops
+           /. (float_of_int r.Runtime.Service.serve_duration_ns *. 1e-9)));
+      List.iter
+        (fun (name, len) ->
+          Fmt.pr "  %-12s %s ops threaded@." name (Obs.Units.si_int len))
+        r.Runtime.Service.per_object;
+      0
+    end
   in
   Cmd.v
     (Cmd.info "serve"
@@ -871,8 +793,7 @@ let serve_cmd =
           wfs top, --metrics-out F appends a scrapeable file sink.")
     Term.(
       const run $ clients $ duration $ service_window_arg $ service_seed_arg
-      $ trace_out_arg $ trace_sample_arg $ help_canary_arg $ progress_arg
-      $ profile_arg $ metrics_out_arg $ metrics_port_arg)
+      $ trace_sample_arg $ obs_term)
 
 (* --- trace: summarize / audit a causal trace file --- *)
 
@@ -894,19 +815,11 @@ let trace_cmd =
              object's registered bound, and the help edges acyclic.")
   in
   let run file audit =
-    let contents =
-      try
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-      with Sys_error msg -> Error msg
-    in
-    match contents with
-    | Error msg ->
+    match read_whole_file file with
+    | exception Sys_error msg ->
         Fmt.epr "%s@." msg;
         2
-    | Ok contents -> (
+    | contents -> (
         match Obs.Causal.Audit.of_trace_json (Obs.Json.of_string contents) with
         | exception Obs.Json.Parse_error msg ->
             Fmt.epr "%s: not JSON: %s@." file msg;
@@ -1143,12 +1056,6 @@ let find_substring hay needle =
     else go (i + 1)
   in
   go 0
-
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* One-shot HTTP GET against the sampler's loopback endpoint, stdlib
    [Unix] only; Connection: close makes EOF the response delimiter. *)
@@ -1463,66 +1370,6 @@ let zoo_cmd =
   in
   Cmd.v (Cmd.info "zoo" ~doc:"List the object zoo") Term.(const run $ const ())
 
-(* --- profile ---
-
-   [wfs profile CMD ... --out prof.json] = run CMD with the span
-   profiler on and write the trace to --out.  Equivalent to the
-   subcommand's own --profile flag, packaged as a dedicated group so
-   profiling runs read naturally.  Note: under [profile verify], --out
-   names the trace file, so counterexample export is only available via
-   the plain [verify --out ... --profile ...] spelling. *)
-
-let profile_out_arg =
-  Arg.(
-    value & opt string "prof.json"
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:
-          "Write the Chrome trace_event JSON to $(docv) (load in \
-           ui.perfetto.dev or chrome://tracing).")
-
-let profile_cmd =
-  let verify =
-    let run key n max_states max_depth crashes j progress out =
-      verify_run ~progress ~profile:(Some out) key n max_states max_depth None
-        crashes false j
-    in
-    Cmd.v
-      (Cmd.info "verify" ~doc:"Profile an exhaustive protocol verification")
-      Term.(
-        const run $ verify_key_arg $ verify_n_arg $ verify_max_states_arg
-        $ verify_max_depth_arg $ verify_crashes_arg $ jobs_arg $ progress_arg
-        $ profile_out_arg)
-  in
-  let census =
-    let run budget max_states max_depth j progress out =
-      census_run ~progress ~profile:(Some out) budget max_states max_depth
-        false false j
-    in
-    Cmd.v
-      (Cmd.info "census" ~doc:"Profile the solver census over the zoo")
-      Term.(
-        const run $ census_budget_arg $ census_max_states_arg
-        $ census_max_depth_arg $ jobs_arg $ progress_arg $ profile_out_arg)
-  in
-  let hierarchy =
-    let run full j progress out =
-      hierarchy_run ~progress ~profile:(Some out) full false false j
-    in
-    Cmd.v
-      (Cmd.info "hierarchy"
-         ~doc:"Profile the Figure 1-1 hierarchy table generation")
-      Term.(
-        const run $ hierarchy_full_arg $ jobs_arg $ progress_arg
-        $ profile_out_arg)
-  in
-  Cmd.group
-    (Cmd.info "profile"
-       ~doc:
-         "Run a subcommand under the per-domain span profiler and write a \
-          Chrome trace_event JSON timeline (pool jobs, steals, idle waits, \
-          exploration phases, solver runs — one thread row per domain)")
-    [ verify; census; hierarchy ]
-
 let main =
   Cmd.group
     (Cmd.info "wfs" ~version:"1.0.0"
@@ -1532,7 +1379,7 @@ let main =
     [
       hierarchy_cmd; verify_cmd; replay_cmd; solve_cmd; universal_cmd;
       census_cmd; critical_cmd; fault_cmd; load_cmd; serve_cmd; trace_cmd;
-      randomized_cmd; stats_cmd; top_cmd; zoo_cmd; profile_cmd;
+      randomized_cmd; stats_cmd; top_cmd; zoo_cmd;
     ]
 
 let () = exit (Cmd.eval' main)
