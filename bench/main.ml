@@ -229,6 +229,15 @@ let off_vs_on ~reps ~set run =
   let off = !off and on_ = !on_ in
   (off, on_, if off > 0. then (on_ -. off) /. off *. 100. else 0.)
 
+(* The event ring recording 1 op in 64, or off and emptied: the mode
+   [off_vs_on] toggles for the ring's overhead pairs. *)
+let set_ring on =
+  if on then Obs.Ring.enable ~sample:64 ()
+  else begin
+    Obs.Ring.disable ();
+    Obs.Ring.reset ()
+  end
+
 (* An integer knob from the environment, clamped to [lo, hi].  A value
    that does not parse stops the harness with exit 2, naming the
    variable, instead of silently running at [default]. *)
@@ -1328,38 +1337,13 @@ let fault_bench () =
 let profile_overhead () =
   section "PROFILE  span profiler overhead: off vs enabled (target <=5%)";
   let reps = env_int ~default:5 ~lo:1 "WFS_PERF_REPS" in
-  let best ~iters f =
-    ignore (f ());
-    let t = ref infinity in
-    for _ = 1 to reps do
-      Gc.minor ();
-      let (), dt =
-        time_once (fun () ->
-            for _ = 1 to iters do
-              ignore (f ())
-            done)
-      in
-      let per_call = dt /. float_of_int iters in
-      if per_call < !t then t := per_call
-    done;
-    !t
-  in
-  let measure_pair name ~iters work =
-    let off = best ~iters work in
-    Obs.Ring.enable ();
-    let on_ = best ~iters work in
-    Obs.Ring.disable ();
-    Obs.Ring.reset ();
-    let pct = if off > 0. then (on_ -. off) /. off *. 100. else 0. in
-    (off, on_, pct, name)
-  in
   (* Exploration workload: spans here are coarse (per shard, per solver
      verdict), so the enabled tax must stay well inside the 5% budget. *)
   let aq4 = Aug_queue_consensus.protocol ~n:4 () in
-  let off, on_, pct, _ =
-    measure_pair "verify-aug-queue-n4" ~iters:1 (fun () ->
-        Protocol.verify aq4)
+  let off, on_, pct =
+    off_vs_on ~reps ~set:set_ring (fun () -> ignore (Protocol.verify aq4))
   in
+  set_ring false;
   record_series "profile/overhead"
     (Obs.Json.obj
        [
@@ -1376,8 +1360,8 @@ let profile_overhead () =
      enabled cost in its least flattering setting (ops that do almost
      nothing). *)
   let ops = 20_000 in
-  let off, on_, pct, _ =
-    measure_pair "recorder-op" ~iters:1 (fun () ->
+  let off, on_, pct =
+    off_vs_on ~reps ~set:set_ring (fun () ->
         let r = Runtime.Recorder.create ~capacity:(2 * ops) in
         for pid = 0 to ops - 1 do
           ignore
@@ -1385,6 +1369,7 @@ let profile_overhead () =
                ~op:Queues.deq ~encode_res:Value.int (fun () -> 0))
         done)
   in
+  set_ring false;
   record_series "profile/recorder-op"
     (Obs.Json.obj
        [
@@ -1405,8 +1390,19 @@ let profile_overhead () =
   let iters = 2_000_000 in
   let sink = ref 0 in
   let thunk () = incr sink in
-  let bare = best ~iters (fun () -> thunk ()) in
-  let spanned = best ~iters (fun () -> Obs.Profile.span "bench.noop" thunk) in
+  let spanned_thunk () = Obs.Profile.span "bench.noop" thunk in
+  let body = ref thunk in
+  let bare, spanned, _ =
+    off_vs_on ~reps
+      ~set:(fun span -> body := if span then spanned_thunk else thunk)
+      (fun () ->
+        let f = !body in
+        for _ = 1 to iters do
+          f ()
+        done)
+  in
+  let bare = bare /. float_of_int iters
+  and spanned = spanned /. float_of_int iters in
   let delta_ns = (spanned -. bare) *. 1e9 in
   record_series "profile/disabled-span-ns"
     (Obs.Json.obj
@@ -1470,15 +1466,8 @@ let obs_causal () =
       ignore (WC.apply w ~pid:0 Runtime.Seq_objects.Counter.Incr)
     done
   in
-  let set_traced t =
-    if t then Obs.Ring.enable ~sample:64 ()
-    else begin
-      Obs.Ring.disable ();
-      Obs.Ring.reset ()
-    end
-  in
-  let off, on_, pct = off_vs_on ~reps ~set:set_traced run in
-  set_traced false;
+  let off, on_, pct = off_vs_on ~reps ~set:set_ring run in
+  set_ring false;
   record_series "obs-causal/universal-service"
     (Obs.Json.obj
        [

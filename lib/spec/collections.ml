@@ -62,37 +62,85 @@ let read = Op.nullary "read"
 (* A key→value map — the "map" shape of the universal object service
    (registers generalized to a keyed store; Corollary 10 still applies:
    registers alone cannot implement it wait-free for n ≥ 2 because it
-   embeds the counter via put/get on one key).  The state is an
-   association list kept sorted by key so equal abstract maps have
-   equal representations.  [put]/[del] return the displaced value (⊥
-   when the key was absent) so concurrent writers are observably
+   embeds the counter via put/get on one key).  The state is a list of
+   [Pair (k, v)] bindings with strictly increasing keys (by
+   [Value.compare]), so equal abstract maps have equal representations.
+   [apply] works on that encoding directly: a lookup stops at the first
+   key not below its target, and a write rebuilds only the bindings
+   before its key and shares the rest.  [put]/[del] return the displaced
+   value (⊥ when the key was absent) so concurrent writers are observably
    ordered. *)
 
 let put k v = Op.make "put" (Value.pair k v)
 let get k = Op.make "get" k
 let del k = Op.make "del" k
 
+let not_a_binding () = invalid_arg "Collections.kv_map: binding is not a pair"
+
+(* [k]'s value in the key-sorted [bindings], as an option. *)
+let rec lookup k = function
+  | [] -> Value.none
+  | Value.Pair (k', v) :: rest ->
+      let c = Value.compare k' k in
+      if c < 0 then lookup k rest else if c = 0 then Value.some v else Value.none
+  | _ :: _ -> not_a_binding ()
+
+(* [bindings] with [b = Pair (k, _)] in place of [k]'s binding, or inserted
+   where [k] sorts; the value [b] displaces goes to [displaced]. *)
+let rec bind k b displaced = function
+  | [] -> [ b ]
+  | (Value.Pair (k', v) as b') :: rest as bindings ->
+      let c = Value.compare k' k in
+      if c < 0 then b' :: bind k b displaced rest
+      else if c = 0 then begin
+        displaced := Value.some v;
+        b :: rest
+      end
+      else b :: bindings
+  | _ :: _ -> not_a_binding ()
+
+(* [bindings] without [k]'s binding, whose value goes to [displaced];
+   raises [Not_found] when [k] is unbound. *)
+let rec unbind k displaced = function
+  | [] -> raise_notrace Not_found
+  | (Value.Pair (k', v) as b) :: rest ->
+      let c = Value.compare k' k in
+      if c < 0 then b :: unbind k displaced rest
+      else if c = 0 then begin
+        displaced := Value.some v;
+        rest
+      end
+      else raise_notrace Not_found
+  | _ :: _ -> not_a_binding ()
+
 let kv_map ?(name = "kv-map") ?(initial = [])
     ?(keys = [ Value.str "a"; Value.str "b" ])
     ?(values = [ Value.int 0; Value.int 1; Value.int 2 ]) () =
-  let canonical kvs =
-    List.sort (fun (a, _) (b, _) -> Value.compare a b) kvs
+  let initial = List.sort (fun (a, _) (b, _) -> Value.compare a b) initial in
+  let rec check_distinct = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+        if Value.equal a b then
+          invalid_arg
+            (Fmt.str "Collections.kv_map: duplicate initial key %a" Value.pp a);
+        check_distinct rest
+    | _ -> ()
   in
-  let encode kvs = Value.list (List.map (fun (k, v) -> Value.pair k v) kvs) in
-  let decode state = List.map Value.as_pair (Value.as_list state) in
+  check_distinct initial;
   let apply state op =
-    let kvs = decode state in
-    let lookup k = List.assoc_opt k kvs |> Value.of_option in
+    let bindings = Value.as_list state in
     match Op.name op with
+    | "get" -> (state, lookup (Op.arg op) bindings)
     | "put" ->
-        let k, v = Value.as_pair (Op.arg op) in
-        let displaced = lookup k in
-        let kvs = canonical ((k, v) :: List.remove_assoc k kvs) in
-        (encode kvs, displaced)
-    | "get" -> (state, lookup (Op.arg op))
-    | "del" ->
-        let k = Op.arg op in
-        (encode (List.remove_assoc k kvs), lookup k)
+        let b = Op.arg op in
+        let k = fst (Value.as_pair b) in
+        let displaced = ref Value.none in
+        let bindings = bind k b displaced bindings in
+        (Value.list bindings, !displaced)
+    | "del" -> (
+        let displaced = ref Value.none in
+        match unbind (Op.arg op) displaced bindings with
+        | bindings -> (Value.list bindings, !displaced)
+        | exception Not_found -> (state, Value.none))
     | _ -> raise (Object_spec.Unknown_operation { obj = name; op })
   in
   let menu =
@@ -100,4 +148,5 @@ let kv_map ?(name = "kv-map") ?(initial = [])
       (fun k -> get k :: del k :: List.map (fun v -> put k v) values)
       keys
   in
-  Object_spec.make ~name ~init:(encode (canonical initial)) ~apply ~menu
+  let init = Value.list (List.map (fun (k, v) -> Value.pair k v) initial) in
+  Object_spec.make ~name ~init ~apply ~menu

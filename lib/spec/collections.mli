@@ -1,4 +1,4 @@
-(** Set and counter objects.
+(** Set, counter and key→value map objects.
 
     The set's state is kept sorted so equal abstract sets have equal
     representations; its argumentless [remove] is made deterministic by
@@ -36,9 +36,21 @@ val put : Value.t -> Value.t -> Op.t
 val get : Value.t -> Op.t
 val del : Value.t -> Op.t
 
-(** Key→value map whose state is a key-sorted association list; [put]
-    and [del] return the displaced value (⊥ for an absent key).  The
-    third default object of the universal object service. *)
+(** Key→value map whose state is a list of [Pair (k, v)] bindings with
+    strictly increasing keys (by {!Value.compare}); [put] and [del]
+    return the displaced value (⊥, encoded as {!Value.none}, for an
+    absent key).  The third default object of the universal object
+    service.
+
+    Cost model: [apply] works on that encoding directly.  [get] is
+    O(rank of the key) — it stops at the first key not below its target
+    — and allocates only its result, never state.  [put] and [del] make
+    one pass of the same length, rebuilding only the bindings before the
+    key and sharing the rest; [put] reuses its own argument pair as the
+    new binding, and [del] of an unbound key returns the state itself.
+
+    Raises [Invalid_argument] naming the key when [initial] binds a key
+    twice. *)
 val kv_map :
   ?name:string ->
   ?initial:(Value.t * Value.t) list ->

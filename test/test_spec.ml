@@ -205,6 +205,57 @@ let test_counter () =
     [ Value.int 1; Value.int 2; Value.int 1 ]
     results
 
+(* --- kv-map --- *)
+
+let a = Value.str "a"
+let b = Value.str "b"
+
+let test_kv_put_empty () =
+  let m = Collections.kv_map () in
+  let _, res = Object_spec.apply m m.Object_spec.init (Collections.put a (Value.int 1)) in
+  Alcotest.check value "put on an empty map displaces nothing" Value.none res
+
+let test_kv_overwrite () =
+  let m = Collections.kv_map () in
+  let _, results =
+    apply_all m
+      [ Collections.put a (Value.int 1); Collections.put a (Value.int 2); Collections.get a ]
+  in
+  Alcotest.(check (list value))
+    "overwrite returns the old value"
+    [ Value.none; Value.some (Value.int 1); Value.some (Value.int 2) ]
+    results
+
+let test_kv_del_absent () =
+  let m = Collections.kv_map ~initial:[ (b, Value.int 0) ] () in
+  let state = m.Object_spec.init in
+  let state', res = Object_spec.apply m state (Collections.del a) in
+  Alcotest.check value "del of an absent key" Value.none res;
+  Alcotest.check value "state unchanged" state state'
+
+let test_kv_sorted () =
+  let m = Collections.kv_map () in
+  let keys = [ Value.int 3; b; Value.pair a a; Value.int (-1); a; Value.int 7 ] in
+  let state, _ = apply_all m (List.map (fun k -> Collections.put k Value.unit) keys) in
+  let sorted = List.sort Value.compare keys in
+  Alcotest.check value "bindings sorted by key"
+    (Value.list (List.map (fun k -> Value.pair k Value.unit) sorted))
+    state
+
+let test_kv_reachable () =
+  Alcotest.(check int)
+    "2 keys x (unbound | 3 values)" 16
+    (List.length (Object_spec.reachable_states (Collections.kv_map ())))
+
+let test_kv_duplicate_initial () =
+  Alcotest.check_raises "duplicate key rejected"
+    (Invalid_argument "Collections.kv_map: duplicate initial key \"a\"")
+    (fun () ->
+      ignore
+        (Collections.kv_map
+           ~initial:[ (a, Value.int 0); (b, Value.int 1); (a, Value.int 2) ]
+           ()))
+
 (* --- memory --- *)
 
 let init2 = [ Value.pid 0; Value.pid 1 ]
@@ -460,12 +511,96 @@ let prop_faa_sums =
       let total = List.fold_left ( + ) 0 ks in
       Value.equal state (Value.int total))
 
+(* The encoding-level kv-map against [Kv_map_oracle], the decode/re-encode
+   original: random key universes of mixed shapes, random initial
+   bindings, and operation sequences that also touch keys outside the
+   menu.  Both run side by side; state and result must agree at every
+   step.  ([Service.Load]'s differential check replays through the same
+   [apply] it checks, so only an independent oracle catches an [apply]
+   bug.) *)
+
+let kv_key_gen =
+  QCheck2.Gen.(
+    let atom =
+      oneof
+        [
+          map Value.int (int_range (-4) 12);
+          map Value.str (string_size ~gen:(char_range 'a' 'c') (int_range 0 2));
+          map Value.bool bool;
+          pure Value.unit;
+        ]
+    in
+    oneof
+      [ atom; map2 Value.pair atom atom; map Value.list (list_size (int_range 0 2) atom) ])
+
+let kv_case_gen =
+  QCheck2.Gen.(
+    let* keys = map (List.sort_uniq Value.compare) (list_size (int_range 1 6) kv_key_gen) in
+    let* values = map (List.sort_uniq Value.compare) (list_size (int_range 1 3) kv_key_gen) in
+    let* initial =
+      flatten_l
+        (List.map
+           (fun k -> map (fun v -> Option.map (fun v -> (k, v)) v) (opt (oneofl values)))
+           keys)
+    in
+    let initial = List.rev (List.filter_map Fun.id initial) in
+    let m = Collections.kv_map ~keys ~values ~initial () in
+    let op =
+      oneof
+        [
+          oneofl m.Object_spec.menu;
+          map (fun k -> Collections.get k) kv_key_gen;
+          map (fun k -> Collections.del k) kv_key_gen;
+          map2 Collections.put kv_key_gen kv_key_gen;
+        ]
+    in
+    let+ ops = list_size (int_range 0 40) op in
+    (m, initial, ops))
+
+let print_kv_case (m, initial, ops) =
+  Fmt.str "keys/values menu: %a@.initial: %a@.ops: %a"
+    Fmt.(list ~sep:sp Op.pp) m.Object_spec.menu
+    Fmt.(list ~sep:sp (pair ~sep:(any "->") Value.pp Value.pp)) initial
+    Fmt.(list ~sep:sp Op.pp) ops
+
+let prop_kv_map_oracle =
+  QCheck2.Test.make ~name:"kv-map: apply agrees with the decode/re-encode oracle"
+    ~count:500 ~print:print_kv_case kv_case_gen (fun (m, initial, ops) ->
+      let init = Kv_map_oracle.init initial in
+      Value.equal m.Object_spec.init init
+      && fst
+           (List.fold_left
+              (fun (ok, (state, ostate)) op ->
+                let state', res = Object_spec.apply m state op in
+                let ostate', ores = Kv_map_oracle.apply ostate op in
+                (ok && Value.equal state' ostate' && Value.equal res ores, (state', ostate')))
+              (true, (init, init))
+              ops))
+
+let prop_kv_map_reachable =
+  QCheck2.Test.make ~name:"kv-map: reachable states match the oracle's"
+    ~count:50 ~print:print_kv_case kv_case_gen (fun (m, _, _) ->
+      let oracle =
+        Object_spec.make ~name:m.Object_spec.name ~init:m.Object_spec.init
+          ~apply:(Kv_map_oracle.apply ~name:m.Object_spec.name)
+          ~menu:m.Object_spec.menu
+      in
+      List.equal Value.equal (Object_spec.reachable_states m)
+        (Object_spec.reachable_states oracle))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     (List.concat_map
        (fun spec -> [ prop_deterministic spec; prop_total spec ])
        (Zoo.all ())
-    @ [ prop_queue_fifo; prop_stack_reverses; prop_pqueue_sorted; prop_faa_sums ])
+    @ [
+        prop_queue_fifo;
+        prop_stack_reverses;
+        prop_pqueue_sorted;
+        prop_faa_sums;
+        prop_kv_map_oracle;
+        prop_kv_map_reachable;
+      ])
 
 let suite =
   [
@@ -490,6 +625,13 @@ let suite =
           test_pqueue_canonical_state;
         Alcotest.test_case "set" `Quick test_set_semantics;
         Alcotest.test_case "counter" `Quick test_counter;
+        Alcotest.test_case "kv-map put on empty" `Quick test_kv_put_empty;
+        Alcotest.test_case "kv-map overwrite" `Quick test_kv_overwrite;
+        Alcotest.test_case "kv-map del absent" `Quick test_kv_del_absent;
+        Alcotest.test_case "kv-map bindings sorted" `Quick test_kv_sorted;
+        Alcotest.test_case "kv-map reachable states" `Quick test_kv_reachable;
+        Alcotest.test_case "kv-map duplicate initial key" `Quick
+          test_kv_duplicate_initial;
       ] );
     ( "spec.memory",
       [
