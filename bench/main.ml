@@ -4,9 +4,11 @@
    The paper (PODC 1988) is a theory paper; its one data figure is the
    consensus hierarchy (Figure 1-1), and its "evaluation" is the set of
    theorems.  Accordingly each section below either regenerates a
-   figure/theorem as machine-checked data, or measures the cost of the
-   constructions the paper only proves exist.  Experiment ids match
-   DESIGN.md and EXPERIMENTS.md.
+   figure/theorem as machine-checked data, measures the cost of a
+   construction the paper only proves exists, or times an overhead
+   pair.  Serving throughput and latency and search speed are
+   measured by wfsbench/ (BENCHMARK.json), not here.  Experiment ids
+   match DESIGN.md and EXPERIMENTS.md.
 
    NOTE on hardware: the harness prints the visible core count first.
    With fewer cores than domains, the multi-domain sections measure
@@ -15,26 +17,20 @@
    not. *)
 
 open Wfs
-open Bechamel
-open Toolkit
 
 (* ---------- BENCH_results.json accumulation ----------
 
-   Every bechamel row and hand-timed series lands in these refs; the
-   harness writes them as [BENCH_results.json] on exit so the perf
-   trajectory is machine-trackable PR over PR (schema in
-   EXPERIMENTS.md). *)
+   Every series lands in these refs; the harness writes them as
+   [BENCH_results.json] on exit so the trajectory is machine-trackable
+   commit over commit (schema in EXPERIMENTS.md). *)
 
-let ols_rows : (string * float * float) list ref = ref []
 let series_rows : (string * Obs.Json.t) list ref = ref []
 
 (* Wall-clock duration + monotonic start stamp of every section run, so
-   perf trajectories in [series]/[ns_per_op] can be correlated with a
-   [--trace-out] trace of the same process (both clocks are
-   Clock.now_ns). *)
+   the [series] can be correlated with a [--trace-out] trace of the
+   same process (both clocks are Clock.now_ns). *)
 let section_timings : (string * Obs.Json.t) list ref = ref []
 
-let record_ns name ns r2 = ols_rows := (name, ns, r2) :: !ols_rows
 let record_series name json = series_rows := (name, json) :: !series_rows
 
 (* HEAD commit without shelling out: find the checkout by walking up
@@ -102,37 +98,14 @@ let write_results path sections_run =
   let json =
     Obs.Json.obj
       [
-        (* /9 drops the perf/* series (the old-vs-new engine pairs),
-           the universal-service/unbatched-wait-free series and the
-           universal-service/summary batched_speedup field; /8 adds
-           the obs-causal/* series (sampled causal tracing
-           overhead on the universal service, target <=5%); /7 adds the
-           tt/* series (transposition + no-good census grid); /6 adds
-           the universal-service/* series (batched vs un-batched
-           wait-free, plus the closed-loop load harness) and the
-           profile/wait-free-metrics overhead pair; /5 switches the
-           perf estimators from min-of-k to median-of-k, adds
-           solver_nodes / explorer_states accounting to the perf and
-           perf-par series, and adds the por/* reduction series; /4
-           added shard_states / shard_imbalance / stripe_contention to
-           the perf-par series; /3 added section_timings; /2 the
-           provenance stamps; /1 fields unchanged. *)
-        ("schema", Obs.Json.str "wfs-bench/9");
+        (* version history: EXPERIMENTS.md, BENCH_results.json *)
+        ("schema", Obs.Json.str "wfs-bench/10");
         ("generated_unix_time", Obs.Json.float (Unix.time ()));
         ("domains_used", Obs.Json.int (Domain.recommended_domain_count ()));
         ("git_rev", Obs.Json.str (git_rev ()));
         ("ocaml_version", Obs.Json.str Sys.ocaml_version);
         ( "sections",
           Obs.Json.list (List.map Obs.Json.str sections_run) );
-        ( "ns_per_op",
-          sorted_obj
-            (List.map
-               (fun (name, ns, r2) ->
-                 ( name,
-                   Obs.Json.obj
-                     [ ("ns", Obs.Json.float ns); ("r2", Obs.Json.float r2) ]
-                 ))
-               !ols_rows) );
         ("series", sorted_obj !series_rows);
         ("section_timings", sorted_obj !section_timings);
         ("metrics", Obs.Metrics.snapshot ());
@@ -143,31 +116,6 @@ let write_results path sections_run =
   output_char oc '\n';
   close_out oc;
   Fmt.pr "@.results written to %s@." path
-
-(* ---------- bechamel plumbing ---------- *)
-
-let benchmark_and_print tests =
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      let estimate =
-        match Analyze.OLS.estimates ols with
-        | Some (e :: _) -> e
-        | Some [] | None -> Float.nan
-      in
-      let r2 = Option.value ~default:Float.nan (Analyze.OLS.r_square ols) in
-      record_ns name estimate r2;
-      Fmt.pr "  %-46s %12.0f ns/op   (r² %.3f)@." name estimate r2)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
 
 let section title = Fmt.pr "@.=== %s ===@.@." title
 
@@ -238,21 +186,18 @@ let set_ring on =
     Obs.Ring.reset ()
   end
 
-(* An integer knob from the environment, clamped to [lo, hi].  A value
-   that does not parse stops the harness with exit 2, naming the
-   variable, instead of silently running at [default]. *)
-let env_int ~default ~lo ?(hi = max_int) name =
-  match Sys.getenv_opt name with
-  | None -> default
+(* Timed reps per estimate: [WFS_PERF_REPS], the harness's one knob
+   (default 5, at least 1).  A value that does not parse stops the
+   harness with exit 2 instead of silently running at the default. *)
+let perf_reps () =
+  match Sys.getenv_opt "WFS_PERF_REPS" with
+  | None -> 5
   | Some s -> (
       match int_of_string_opt s with
-      | Some v -> min hi (max lo v)
+      | Some v -> max 1 v
       | None ->
-          Fmt.epr "%s: expected an integer, got %S@." name s;
+          Fmt.epr "WFS_PERF_REPS: expected an integer, got %S@." s;
           exit 2)
-
-let counter_now name =
-  Option.value ~default:0 (Obs.Metrics.counter_value name)
 
 (* ---------- F1.1: the hierarchy table ---------- *)
 
@@ -349,171 +294,58 @@ let solver_ablation () =
   compare_counts "test-and-set n=3 d=1"
     (Solver.of_spec ~n:3 ~depth:1 (Registers.test_and_set ()))
 
-(* ---------- T4..T20: protocol verification cost (explorer) ---------- *)
-
-let verification_benches () =
-  section "T4/T7/T9/T12/T15/T16/T19  exhaustive protocol verification cost";
-  let verify_test name protocol =
-    Test.make ~name (Staged.stage (fun () -> Protocol.verify protocol))
-  in
-  benchmark_and_print
-    (Test.make_grouped ~name:"verify"
-       [
-         verify_test "thm4-test-and-set-n2" (Rmw_consensus.test_and_set ());
-         verify_test "thm4-fetch-and-add-n2" (Rmw_consensus.fetch_and_add ());
-         verify_test "thm7-cas-n3" (Cas_consensus.protocol ~n:3 ());
-         verify_test "thm9-queue-n2" (Queue_consensus.protocol ());
-         verify_test "thm12-aug-queue-n3" (Aug_queue_consensus.protocol ~n:3 ());
-         verify_test "thm15-move-n3" (Move_consensus.n_proc_protocol ~n:3 ());
-         verify_test "thm16-mem-swap-n3" (Swap_consensus.protocol ~n:3 ());
-         verify_test "thm19-assignment-n2" (Assign_consensus.protocol ~n:2 ());
-         verify_test "thm20-two-phase-n2" (Assign_consensus.two_phase ~n:2 ());
-       ])
-
-(* ---------- T4/T7 on hardware: consensus primitives ---------- *)
-
-let primitive_benches () =
-  section "T4/T7-HW  runtime consensus and primitives (single domain)";
-  let tas = Runtime.Primitives.Test_and_set.make () in
-  let faa = Runtime.Primitives.Fetch_and_add.make 0 in
-  let swap = Runtime.Primitives.Swap.make 0 in
-  let cas = Runtime.Primitives.Cas.make 0 in
-  benchmark_and_print
-    (Test.make_grouped ~name:"primitive"
-       [
-         Test.make ~name:"test-and-set"
-           (Staged.stage (fun () ->
-                ignore (Runtime.Primitives.Test_and_set.test_and_set tas)));
-         Test.make ~name:"fetch-and-add"
-           (Staged.stage (fun () ->
-                ignore (Runtime.Primitives.Fetch_and_add.fetch_and_add faa 1)));
-         Test.make ~name:"swap"
-           (Staged.stage (fun () ->
-                ignore (Runtime.Primitives.Swap.swap swap 1)));
-         Test.make ~name:"compare-and-swap"
-           (Staged.stage (fun () ->
-                ignore
-                  (Runtime.Primitives.Cas.compare_and_swap cas ~expected:0
-                     ~replacement:0)));
-         Test.make ~name:"one-shot-consensus-decide"
-           (Staged.stage (fun () ->
-                let c = Runtime.Consensus.One_shot.make () in
-                ignore (Runtime.Consensus.One_shot.decide c 1)));
-         Test.make ~name:"tas-2-consensus-decide"
-           (Staged.stage (fun () ->
-                let c = Runtime.Consensus.Tas_two.make () in
-                ignore (Runtime.Consensus.Tas_two.decide c ~pid:0 42)));
-       ])
-
 (* ---------- U3: fetch-and-cons implementations ---------- *)
 
+(* Each row is [ops] fetch-and-cons calls, [batch] at a time on a fresh
+   object (short histories, as an amortized per-op cost should see
+   them), timed as [median_time] over [reps] runs.  The rounds-based
+   construction needs distinct items and per-process handles, and at
+   ~45 µs/op one run of one history is the sample. *)
 let fac_benches () =
   section "U3  fetch-and-cons implementations (single domain, amortized)";
-  benchmark_and_print
-    (Test.make_grouped ~name:"fac"
-       [
-         Test.make_with_resource ~name:"cas-based" Test.multiple
-           ~allocate:(fun () -> Runtime.Fetch_and_cons.Cas_based.make ())
-           ~free:ignore
-           (Staged.stage (fun t ->
-                ignore (Runtime.Fetch_and_cons.Cas_based.fetch_and_cons t 1)));
-         Test.make_with_resource ~name:"swap-based-O(1)" Test.multiple
-           ~allocate:(fun () -> Runtime.Fetch_and_cons.Swap_based.make ())
-           ~free:ignore
-           (Staged.stage (fun t ->
-                ignore
-                  (Runtime.Fetch_and_cons.Swap_based.fetch_and_cons_cells t 1)));
-       ]);
-  (* the rounds-based construction needs distinct items and per-process
-     handles; measure it by hand *)
-  let n = 2 in
-  let t =
-    Runtime.Fetch_and_cons.Rounds.make ~n ~equal:(fun (a, b) (c, d) ->
-        a = c && b = d)
-  in
-  let h = Runtime.Fetch_and_cons.Rounds.handle t ~pid:0 in
-  let ops = 20_000 in
-  let (), dt =
-    time_once (fun () ->
-        for i = 0 to ops - 1 do
-          ignore (Runtime.Fetch_and_cons.Rounds.fetch_and_cons h (0, i))
-        done)
-  in
-  Fmt.pr "  %-46s %12.0f ns/op   (hand-timed, %d ops)@."
-    "fac/rounds-based-(Fig 4-5)"
-    (dt /. float_of_int ops *. 1e9)
-    ops;
-  record_ns "fac/rounds-based-(Fig 4-5)"
-    (dt /. float_of_int ops *. 1e9)
-    Float.nan
-
-(* ---------- U1: universal-object throughput ---------- *)
-
-let universal_throughput () =
-  section "U1  shared queue throughput, 4 domains (single-core timesharing)";
-  let domains = 4 in
-  let per_domain = 20_000 in
-  let measure name enq deq =
-    let (), dt =
-      time_once (fun () ->
-          ignore
-            (Runtime.Primitives.run_domains domains (fun pid ->
-                 for i = 0 to per_domain - 1 do
-                   enq ((pid * per_domain) + i);
-                   ignore (deq ())
-                 done)))
+  let reps = perf_reps () in
+  let row name ~reps ~ops ~batch make step =
+    let dt =
+      median_time ~reps (fun () ->
+          for _ = 1 to ops / batch do
+            let t = make () in
+            for i = 0 to batch - 1 do
+              step t i
+            done
+          done)
     in
-    let ops = 2 * domains * per_domain in
-    record_series ("universal-throughput/" ^ name)
+    let ns = dt /. float_of_int ops *. 1e9 in
+    record_series ("fac/" ^ name)
       (Obs.Json.obj
          [
-           ("ops_per_ms", Obs.Json.float (float_of_int ops /. dt /. 1000.0));
+           ("ns_per_op", Obs.Json.float ns);
            ("ops", Obs.Json.int ops);
-           ("seconds", Obs.Json.float dt);
+           ("reps", Obs.Json.int reps);
          ]);
-    Fmt.pr "  %-42s %9.0f ops/ms   (%d ops in %.3fs)@." name
-      (float_of_int ops /. dt /. 1000.0)
-      ops dt
+    Fmt.pr "  %-46s %12.0f ns/op   (median of %d, %d ops)@." ("fac/" ^ name) ns
+      reps ops
   in
-  let module QU = Runtime.Universal.Lock_free (Runtime.Seq_objects.Queue_of_int) in
-  let module QW = Runtime.Universal.Wait_free (Runtime.Seq_objects.Queue_of_int) in
-  let module QL = Runtime.Universal.Locked (Runtime.Seq_objects.Queue_of_int) in
-  let open Runtime.Seq_objects.Queue_of_int in
-  let qu = QU.create () in
-  measure "universal lock-free (this paper, from CAS)"
-    (fun x -> ignore (QU.apply qu (Enq x)))
-    (fun () -> QU.apply qu Deq);
-  let qw = QW.create ~n:domains () in
-  let pids = Atomic.make 0 in
-  let pid_key = Domain.DLS.new_key (fun () -> Atomic.fetch_and_add pids 1 mod domains) in
-  measure "universal wait-free (announce + helping)"
-    (fun x -> ignore (QW.apply qw ~pid:(Domain.DLS.get pid_key) (Enq x)))
-    (fun () -> QW.apply qw ~pid:(Domain.DLS.get pid_key) Deq);
-  let ql = QL.create () in
-  measure "mutex-guarded"
-    (fun x -> ignore (QL.apply ql (Enq x)))
-    (fun () -> QL.apply ql Deq);
-  let ms = Runtime.Baselines.Michael_scott_queue.make () in
-  measure "michael-scott (hand-crafted lock-free)"
-    (fun x -> Runtime.Baselines.Michael_scott_queue.enqueue ms x)
+  let module F = Runtime.Fetch_and_cons in
+  row "cas-based" ~reps ~ops:1_000_000 ~batch:1_000 F.Cas_based.make
+    (fun t _ -> ignore (F.Cas_based.fetch_and_cons t 1));
+  row "swap-based-O(1)" ~reps ~ops:1_000_000 ~batch:1_000 F.Swap_based.make
+    (fun t _ -> ignore (F.Swap_based.fetch_and_cons_cells t 1));
+  row "rounds-based-(Fig 4-5)" ~reps:1 ~ops:20_000 ~batch:20_000
     (fun () ->
-      match Runtime.Baselines.Michael_scott_queue.dequeue ms with
-      | Some x -> Deqd x
-      | None -> Empty)
+      F.Rounds.handle ~pid:0
+        (F.Rounds.make ~n:2 ~equal:(fun (a, b) (c, d) -> a = c && b = d)))
+    (fun h i -> ignore (F.Rounds.fetch_and_cons h (0, i)))
 
 (* ---------- U1-SVC: universal object service ---------- *)
 
-(* The served construction on one workload: the batched wait-free
-   object (one consensus round threads every announced invocation)
-   against the lock-free snapshot log, plus the closed-loop load harness
-   behind [wfs load], which must pass its differential check with
-   truncation active. *)
+(* The served construction's telemetry and checks: batch size and
+   truncation from a metrics-hot pass of the batched wait-free object,
+   then the closed-loop load harness behind [wfs load], which must pass
+   its differential check with truncation active.  Its throughput and
+   latency are wfsbench's serve-counter workload. *)
 let universal_service () =
-  section "U1-SVC  universal object service: batched wait-free vs lock-free";
+  section "U1-SVC  universal object service: batching, truncation, checked load";
   let domains = 4 in
-  let per_domain = 10_000 in
-  let total = domains * per_domain in
-  let reps = env_int ~default:5 ~lo:1 "WFS_PERF_REPS" in
   let hist name =
     match List.assoc_opt name (Obs.Metrics.dump ()) with
     | Some (Obs.Metrics.D_histogram { d_count; d_sum; _ }) -> (d_count, d_sum)
@@ -521,55 +353,6 @@ let universal_service () =
   in
   let module C = Runtime.Seq_objects.Counter in
   let module WB = Runtime.Universal.Wait_free (C) in
-  let module LF = Runtime.Universal.Lock_free (C) in
-  (* Each rep times the two constructions back to back over fresh
-     objects, metrics cold (this compares the constructions, not their
-     instrumentation), and each construction's figure is the median of
-     its reps.  Interleaving the reps — rather than timing all reps of
-     one construction, then all of the next — exposes every
-     construction to the same slow drift of the box (frequency
-     scaling, background load), which otherwise dominates their ratio
-     on a shared machine. *)
-  let time_rep apply =
-    snd
-      (time_once (fun () ->
-           Runtime.Primitives.run_domains domains (fun pid ->
-               for _ = 1 to per_domain do
-                 apply ~pid
-               done)))
-  in
-  let names = [| "batched-wait-free"; "lock-free" |] in
-  let fresh i =
-    if i = 0 then
-      let w = WB.create ~n:domains () in
-      fun ~pid -> ignore (WB.apply w ~pid C.Incr)
-    else
-      let w = LF.create () in
-      fun ~pid:_ -> ignore (LF.apply w C.Incr)
-  in
-  let times = Array.make_matrix 2 reps infinity in
-  for rep = 0 to reps - 1 do
-    for i = 0 to 1 do
-      times.(i).(rep) <- time_rep (fresh i)
-    done
-  done;
-  Array.iteri
-    (fun i name ->
-      let dt = median times.(i) in
-      let rate = float_of_int total /. dt /. 1000.0 in
-      Fmt.pr
-        "  %-42s %9.0f ops/ms   (%d ops in %.3fs, median of %d interleaved)@."
-        name rate total dt reps;
-      record_series
-        ("universal-service/" ^ name)
-        (Obs.Json.obj
-           [
-             ("ops_per_ms", Obs.Json.float rate);
-             ("ops", Obs.Json.int total);
-             ("seconds", Obs.Json.float dt);
-             ("reps", Obs.Json.int reps);
-           ]))
-    names;
   (* batch-size / truncation telemetry from a short metrics-hot pass *)
   let wb = WB.create ~n:domains () in
   Obs.Metrics.with_hot (fun () ->
@@ -598,17 +381,14 @@ let universal_service () =
   (* The full service path: closed-loop clients through the registry
      handle, differentially checked against the sequential fold. *)
   let r =
-    Runtime.Service.Load.run ~seed:1 ~clients:domains
-      ~ops_per_client:per_domain ()
+    Runtime.Service.Load.run ~seed:1 ~clients:domains ~ops_per_client:10_000
+      ()
   in
   Fmt.pr "  %a@." Runtime.Service.Load.pp_report r;
   record_series "universal-service/load-harness"
     (Obs.Json.obj
        [
-         ("ops_per_ms", Obs.Json.float (r.Runtime.Service.Load.throughput /. 1000.));
          ("ops", Obs.Json.int r.Runtime.Service.Load.total_ops);
-         ("lat_p50_ns", Obs.Json.int r.Runtime.Service.Load.lat_p50_ns);
-         ("lat_p99_ns", Obs.Json.int r.Runtime.Service.Load.lat_p99_ns);
          ("max_retained", Obs.Json.int r.Runtime.Service.Load.max_retained);
          ("watermark", Obs.Json.int r.Runtime.Service.Load.final_watermark);
          ( "differential_ok",
@@ -838,356 +618,6 @@ let randomized_series () =
     trials !agreements trials
     (float_of_int !total_flips /. float_of_int trials)
 
-(* ---------- PERF-PAR: multicore verification speedup curves ---------- *)
-
-(* Largest domain count the curves exercise; the harness's [-j N] flag
-   overrides it (CI's 2-core job passes [-j 2]). *)
-let par_max_j = ref 8
-
-let perf_par () =
-  section
-    "PERF-PAR  multicore verification: domain-pool speedup curves \
-     (j = domains; j=1 is the sequential engine)";
-  let max_j = max 1 !par_max_j in
-  let js =
-    let base = List.filter (fun j -> j <= max_j) [ 1; 2; 4; 8 ] in
-    if List.mem max_j base then base else base @ [ max_j ]
-  in
-  (* Whole-census wall-clock curves are expensive per sample; cap the
-     reps so the default run stays affordable. *)
-  let reps = env_int ~default:3 ~lo:1 ~hi:3 "WFS_PERF_REPS" in
-  let census_budget =
-    env_int ~default:1_000_000 ~lo:10_000 "WFS_PAR_CENSUS_BUDGET"
-  in
-  let best f = median_time ~reps f in
-  (* Load-balance accounting around the timed reps: per-shard states
-     claimed (from the pool.shard.states series the engines feed) and
-     interner stripe try_lock contention, as before/after deltas. *)
-  let shard_states j =
-    List.init (max 1 j) (fun i ->
-        Option.value ~default:0
-          (Obs.Metrics.gauge_value
-             (Obs.Metrics.labeled "pool.shard.states"
-                [ ("shard", string_of_int i) ])))
-  in
-  let contention () =
-    Option.value ~default:0 (Obs.Metrics.counter_value "intern.contention")
-  in
-  (* One speedup curve: run [work pool] at each j, j=1 without a pool
-     (the untouched sequential path), and record seconds + speedup
-     relative to j=1. *)
-  let curve name work =
-    let t1 = ref Float.nan in
-    List.iter
-      (fun j ->
-        let with_p f =
-          if j <= 1 then f None
-          else Pool.with_pool ~domains:j (fun p -> f (Some p))
-        in
-        with_p (fun pool ->
-            let run () = work pool in
-            run () (* warm *);
-            let states0 = shard_states j and cont0 = contention () in
-            let nodes0 = counter_now "solver.nodes" in
-            let explored0 = counter_now "explorer.states" in
-            let t = best run in
-            let per_rep c0 name = (counter_now name - c0) / reps in
-            let nodes = per_rep nodes0 "solver.nodes" in
-            let explored = per_rep explored0 "explorer.states" in
-            let deltas =
-              List.map2 (fun b a -> a - b) states0 (shard_states j)
-            in
-            let total = List.fold_left ( + ) 0 deltas in
-            let mean =
-              float_of_int total /. float_of_int (List.length deltas)
-            in
-            (* max/mean states per shard over the timed reps: 1.0 is a
-               perfect split, j is one shard doing all the work *)
-            let imbalance =
-              if mean > 0. then float_of_int (List.fold_left max 0 deltas) /. mean
-              else 1.
-            in
-            if j = 1 then t1 := t;
-            let speedup = !t1 /. t in
-            record_series
-              (Fmt.str "perf-par/%s-j%d" name j)
-              (Obs.Json.obj
-                 [
-                   ("seconds", Obs.Json.float t);
-                   ("speedup_vs_j1", Obs.Json.float speedup);
-                   ("domains", Obs.Json.int j);
-                   ("reps", Obs.Json.int reps);
-                   ("shard_states", Obs.Json.list (List.map Obs.Json.int deltas));
-                   ("shard_imbalance", Obs.Json.float imbalance);
-                   ("stripe_contention", Obs.Json.int (contention () - cont0));
-                   ("solver_nodes", Obs.Json.int nodes);
-                   ("explorer_states", Obs.Json.int explored);
-                 ]);
-            Fmt.pr
-              "  %-28s j=%d  %8.3f s   speedup %5.2fx   imbalance %.2f@."
-              name j t speedup imbalance))
-      js
-  in
-  (* Registry-wide sharding: the solver-only census (the acceptance
-     workload) and the Figure 1-1 evidence table. *)
-  curve "census" (fun pool ->
-      ignore (Census.run ~max_nodes:census_budget ?pool ()));
-  curve "hierarchy" (fun pool -> ignore (Table.generate ?pool ()));
-  (* Intra-exploration sharding: one big state space split across
-     workers by schedule prefix.  The augmented queue at n = 5 is the
-     largest exploration in the registry (~40k interned states). *)
-  let aq5 = Aug_queue_consensus.protocol ~n:5 () in
-  curve "explore-aug-queue-n5" (fun pool ->
-      ignore (Protocol.verify ?pool aq5))
-
-(* ---------- PERF-POR: partial-order reduction, same verdicts ---------- *)
-
-let perf_por () =
-  section
-    "PERF-POR  partial-order reduction: search-size before/after at \
-     identical verdicts (solver sleep-set cutoffs + explorer sleep sets)";
-  let budget = env_int ~default:2_000_000 ~lo:10_000 "WFS_POR_BUDGET" in
-  (* The acceptance workload: the full solver census, unreduced vs
-     reduced, at the same node budget.  Verdicts, winning inits and the
-     printed table must match row for row; only node counts change. *)
-  let off, t_off = time_once (fun () -> Census.run ~max_nodes:budget ~por:false ()) in
-  let on_, t_on = time_once (fun () -> Census.run ~max_nodes:budget ~por:true ()) in
-  let outcome o = Fmt.str "%a" Census.pp_outcome o in
-  let total_off = ref 0 and total_on = ref 0 in
-  let all_match = ref true in
-  List.iter2
-    (fun (a : Census.measurement) (b : Census.measurement) ->
-      let (o2a, n2a) = a.Census.two_proc and (o3a, n3a) = a.Census.three_proc in
-      let (o2b, n2b) = b.Census.two_proc and (o3b, n3b) = b.Census.three_proc in
-      let verdicts_match =
-        outcome o2a = outcome o2b && outcome o3a = outcome o3b
-        && Option.equal Value.equal a.Census.winning_init2 b.Census.winning_init2
-        && Option.equal Value.equal a.Census.winning_init3 b.Census.winning_init3
-      in
-      (* At small budgets the unreduced search can hit the node cap
-         where the reduced one concludes — a budget-boundary artifact,
-         not a soundness difference (per-verdict results are identical
-         whenever both searches complete).  Only an uncapped mismatch
-         is alarming. *)
-      let budget_capped =
-        List.exists (fun o -> o = Census.Budget) [ o2a; o3a; o2b; o3b ]
-      in
-      if not (verdicts_match || budget_capped) then all_match := false;
-      total_off := !total_off + n2a + n3a;
-      total_on := !total_on + n2b + n3b;
-      let reduction =
-        if n2b + n3b > 0 then float_of_int (n2a + n3a) /. float_of_int (n2b + n3b)
-        else 1.
-      in
-      record_series ("por/census/" ^ a.Census.object_name)
-        (Obs.Json.obj
-           [
-             ("outcome2", Obs.Json.str (outcome o2b));
-             ("outcome3", Obs.Json.str (outcome o3b));
-             ("nodes2_nopor", Obs.Json.int n2a);
-             ("nodes2_por", Obs.Json.int n2b);
-             ("nodes3_nopor", Obs.Json.int n3a);
-             ("nodes3_por", Obs.Json.int n3b);
-             ("reduction", Obs.Json.float reduction);
-             ("verdicts_match", Obs.Json.bool verdicts_match);
-             ("budget_capped", Obs.Json.bool budget_capped);
-           ]);
-      Fmt.pr "  %-22s %-11s nodes %10d -> %10d  (%5.2fx)%s@."
-        a.Census.object_name
-        (outcome o2b ^ "/" ^ outcome o3b)
-        (n2a + n3a) (n2b + n3b) reduction
-        (if verdicts_match then ""
-         else if budget_capped then "  (budget-capped; not comparable)"
-         else "  VERDICT MISMATCH"))
-    off on_;
-  let total_reduction =
-    if !total_on > 0 then float_of_int !total_off /. float_of_int !total_on
-    else 1.
-  in
-  record_series "por/census-total"
-    (Obs.Json.obj
-       [
-         ("budget", Obs.Json.int budget);
-         ("nodes_nopor", Obs.Json.int !total_off);
-         ("nodes_por", Obs.Json.int !total_on);
-         ("reduction", Obs.Json.float total_reduction);
-         ("seconds_nopor", Obs.Json.float t_off);
-         ("seconds_por", Obs.Json.float t_on);
-         ("verdicts_match", Obs.Json.bool !all_match);
-       ]);
-  Fmt.pr "  census total: %d -> %d solver nodes (%.2fx), %.1fs -> %.1fs, \
-          verdicts %s@."
-    !total_off !total_on total_reduction t_off t_on
-    (if !all_match then "identical (where both searches complete)"
-     else "MISMATCH");
-  (* Explorer side: sleep-set pruning on the protocol verifications.
-     [explorer.por.pruned] counts edges never generated; all states are
-     still visited, so the stats structs stay byte-identical (the
-     engine.por suite asserts that — here we record the rates). *)
-  let pruned () =
-    Option.value ~default:0 (Obs.Metrics.counter_value "explorer.por.pruned")
-  in
-  let explore name protocol =
-    let r_off, t0 = time_once (fun () -> Protocol.verify ~por:false protocol) in
-    let p0 = pruned () in
-    let r_on, t1 = time_once (fun () -> Protocol.verify protocol) in
-    let edges_pruned = pruned () - p0 in
-    let same = r_off.Protocol.states = r_on.Protocol.states in
-    record_series ("por/explore/" ^ name)
-      (Obs.Json.obj
-         [
-           ("states", Obs.Json.int r_on.Protocol.states);
-           ("edges_pruned", Obs.Json.int edges_pruned);
-           ("seconds_nopor", Obs.Json.float t0);
-           ("seconds_por", Obs.Json.float t1);
-           ("states_match", Obs.Json.bool same);
-         ]);
-    Fmt.pr "  explore %-22s states %8d  pruned edges %8d  %.2fs -> %.2fs%s@."
-      name r_on.Protocol.states edges_pruned t0 t1
-      (if same then "" else "  STATE-COUNT MISMATCH")
-  in
-  explore "cas-n3" (Cas_consensus.protocol ~n:3 ());
-  explore "mem-swap-n3" (Swap_consensus.protocol ~n:3 ());
-  explore "aug-queue-n4" (Aug_queue_consensus.protocol ~n:4 ())
-
-(* ---------- PERF-TT: transposition caching + no-good learning ---------- *)
-
-let perf_tt () =
-  section
-    "PERF-TT  transposition table + σ-footprint no-good learning: census \
-     node counts across the {por, tt} grid at identical verdicts";
-  let budget = env_int ~default:2_000_000 ~lo:10_000 "WFS_TT_BUDGET" in
-  let tt_counters () =
-    ( counter_now "solver.tt.hits",
-      counter_now "solver.tt.misses",
-      counter_now "solver.tt.footprint_rejects",
-      counter_now "solver.tt.backjumps" )
-  in
-  let run ~por ~tt =
-    let h0, m0, r0, b0 = tt_counters () in
-    let ms, dt =
-      time_once (fun () -> Census.run ~max_nodes:budget ~por ~tt ())
-    in
-    let h1, m1, r1, b1 = tt_counters () in
-    (ms, dt, (h1 - h0, m1 - m0, r1 - r0, b1 - b0))
-  in
-  let total ms =
-    List.fold_left
-      (fun acc (m : Census.measurement) ->
-        acc + snd m.Census.two_proc + snd m.Census.three_proc)
-      0 ms
-  in
-  let outcome o = Fmt.str "%a" Census.pp_outcome o in
-  (* Verdict identity vs the chronological baseline, with the same
-     budget-boundary caveat as PERF-POR: a search that concludes under
-     the cap where a bigger one ran out is a budget artifact, not a
-     soundness difference. *)
-  let verdicts_vs_baseline base ms =
-    List.for_all2
-      (fun (a : Census.measurement) (b : Census.measurement) ->
-        let o2a, _ = a.Census.two_proc and o3a, _ = a.Census.three_proc in
-        let o2b, _ = b.Census.two_proc and o3b, _ = b.Census.three_proc in
-        let same =
-          outcome o2a = outcome o2b
-          && outcome o3a = outcome o3b
-          && Option.equal Value.equal a.Census.winning_init2
-               b.Census.winning_init2
-          && Option.equal Value.equal a.Census.winning_init3
-               b.Census.winning_init3
-        in
-        let capped =
-          List.exists (fun o -> o = Census.Budget) [ o2a; o3a; o2b; o3b ]
-        in
-        same || capped)
-      base ms
-  in
-  let base, t_base, _ = run ~por:false ~tt:false in
-  let n_base = total base in
-  let grid =
-    List.map
-      (fun (name, por, tt) ->
-        let ms, dt, deltas = run ~por ~tt in
-        (name, ms, dt, deltas))
-      [ ("por", true, false); ("tt", false, true); ("por+tt", true, true) ]
-  in
-  Fmt.pr "  %-10s %12s %8s %9s  verdicts@." "combo" "nodes" "sec"
-    "reduction";
-  Fmt.pr "  %-10s %12d %8.1f %8.2fx  -@." "baseline" n_base t_base 1.0;
-  record_series "tt/census/baseline"
-    (Obs.Json.obj
-       [
-         ("nodes", Obs.Json.int n_base);
-         ("seconds", Obs.Json.float t_base);
-       ]);
-  let all_match = ref true in
-  List.iter
-    (fun (name, ms, dt, (h, m, r, b)) ->
-      let n = total ms in
-      let ok = verdicts_vs_baseline base ms in
-      if not ok then all_match := false;
-      let reduction =
-        if n > 0 then float_of_int n_base /. float_of_int n else 1.
-      in
-      let hit_rate =
-        if h + m > 0 then float_of_int h /. float_of_int (h + m) else 0.
-      in
-      record_series ("tt/census/" ^ name)
-        (Obs.Json.obj
-           [
-             ("nodes", Obs.Json.int n);
-             ("seconds", Obs.Json.float dt);
-             ("reduction", Obs.Json.float reduction);
-             ("verdicts_match", Obs.Json.bool ok);
-             ("tt_hits", Obs.Json.int h);
-             ("tt_misses", Obs.Json.int m);
-             ("tt_hit_rate", Obs.Json.float hit_rate);
-             ("tt_footprint_rejects", Obs.Json.int r);
-             ("tt_backjumps", Obs.Json.int b);
-           ]);
-      Fmt.pr "  %-10s %12d %8.1f %8.2fx  %s%s@." name n dt reduction
-        (if ok then "identical (where both searches complete)"
-         else "MISMATCH")
-        (if h + m > 0 then
-           Fmt.str "  [tt hit %.1f%%, rejects %d, backjumps %d]"
-             (hit_rate *. 100.) r b
-         else ""))
-    grid;
-  (* Per-object breakdown of the headline comparison (por vs por+tt):
-     this is where the dominant conclusive rows — n-assignment n=3
-     above all — show the learning paying off. *)
-  (match
-     ( List.find_opt (fun (n, _, _, _) -> n = "por") grid,
-       List.find_opt (fun (n, _, _, _) -> n = "por+tt") grid )
-   with
-  | Some (_, por_ms, _, _), Some (_, both_ms, _, _) ->
-      List.iter2
-        (fun (a : Census.measurement) (b : Census.measurement) ->
-          let na = snd a.Census.two_proc + snd a.Census.three_proc in
-          let nb = snd b.Census.two_proc + snd b.Census.three_proc in
-          let reduction =
-            if nb > 0 then float_of_int na /. float_of_int nb else 1.
-          in
-          record_series ("tt/census-row/" ^ a.Census.object_name)
-            (Obs.Json.obj
-               [
-                 ("nodes_por", Obs.Json.int na);
-                 ("nodes_por_tt", Obs.Json.int nb);
-                 ("reduction", Obs.Json.float reduction);
-               ]);
-          Fmt.pr "  row %-22s nodes %10d -> %10d  (%5.2fx)@."
-            a.Census.object_name na nb reduction)
-        por_ms both_ms
-  | _ -> ());
-  record_series "tt/census-grid"
-    (Obs.Json.obj
-       [
-         ("budget", Obs.Json.int budget);
-         ("verdicts_match", Obs.Json.bool !all_match);
-       ]);
-  Fmt.pr "  verdicts across the grid: %s@."
-    (if !all_match then "identical (where both searches complete)"
-     else "MISMATCH")
-
 (* ---------- EXT-2: Lamport 1P/1C queue (§3.3) ---------- *)
 
 let lamport_queue_bench () =
@@ -1336,7 +766,7 @@ let fault_bench () =
 
 let profile_overhead () =
   section "PROFILE  span profiler overhead: off vs enabled (target <=5%)";
-  let reps = env_int ~default:5 ~lo:1 "WFS_PERF_REPS" in
+  let reps = perf_reps () in
   (* Exploration workload: spans here are coarse (per shard, per solver
      verdict), so the enabled tax must stay well inside the 5% budget. *)
   let aq4 = Aug_queue_consensus.protocol ~n:4 () in
@@ -1457,7 +887,7 @@ let profile_overhead () =
 
 let obs_causal () =
   section "OBS-CAUSAL  sampled causal tracing: off vs on (target <=5%)";
-  let reps = env_int ~default:5 ~lo:1 "WFS_PERF_REPS" in
+  let reps = perf_reps () in
   let module WC = Runtime.Universal.Wait_free (Runtime.Seq_objects.Counter) in
   let ops = 100_000 in
   let run () =
@@ -1496,10 +926,7 @@ let sections : (string * (unit -> unit)) list =
     ("fig1.1", fig_1_1);
     ("impossibility", impossibility_proofs);
     ("solver-ablation", solver_ablation);
-    ("verify", verification_benches);
-    ("primitives", primitive_benches);
     ("fac", fac_benches);
-    ("universal-throughput", universal_throughput);
     ("universal-service", universal_service);
     ("consensus-scaling", consensus_scaling);
     ("replay-cost", replay_cost_series);
@@ -1509,9 +936,6 @@ let sections : (string * (unit -> unit)) list =
     ("randomized", randomized_series);
     ("lamport", lamport_queue_bench);
     ("fault", fault_bench);
-    ("perf-par", perf_par);
-    ("perf-por", perf_por);
-    ("perf-tt", perf_tt);
     ("profile", profile_overhead);
     ("obs-causal", obs_causal);
   ]
@@ -1520,25 +944,8 @@ let () =
   let argv =
     match Array.to_list Sys.argv with [] -> [] | _ :: rest -> rest
   in
-  (* [-j N] caps the domain counts the perf-par curves exercise. *)
-  let rec parse_args acc = function
-    | [] -> List.rev acc
-    | "-j" :: [] ->
-        Fmt.epr "-j expects a domain count@.";
-        exit 2
-    | "-j" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some v when v >= 1 ->
-            par_max_j := v;
-            parse_args acc rest
-        | Some _ | None ->
-            Fmt.epr "-j expects a positive integer (got %s)@." n;
-            exit 2)
-    | s :: rest -> parse_args (s :: acc) rest
-  in
-  let requested = parse_args [] argv in
   let unknown =
-    List.filter (fun s -> not (List.mem_assoc s sections)) requested
+    List.filter (fun s -> not (List.mem_assoc s sections)) argv
   in
   if unknown <> [] then begin
     Fmt.epr "unknown section(s): %a@.available: %a@."
@@ -1549,8 +956,8 @@ let () =
     exit 2
   end;
   let to_run =
-    if requested = [] then sections
-    else List.filter (fun (name, _) -> List.mem name requested) sections
+    if argv = [] then sections
+    else List.filter (fun (name, _) -> List.mem name argv) sections
   in
   Fmt.pr
     "wfs benchmark harness — reproducing Herlihy (PODC 1988)@.\

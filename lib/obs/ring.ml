@@ -147,9 +147,13 @@ let enabled () = !on
    undecodable, and re-allocating megabytes of custom-block storage on
    every enable both thrashes the allocator and — through the GC's
    dependent-memory accounting — speeds up major collections for the
-   rest of the run.  A capacity change is picked up by [write]. *)
+   rest of the run.  A capacity change is picked up by [write].  The
+   args array survives too: once it exists, [record] overwrites its
+   slot on every span, instant and counter ([[]] when the event has no
+   args) and causal events never decode it, so a previous run's args
+   cannot resurface, and the first event with args after an [enable]
+   does not re-allocate [capacity] slots inside the recorded run. *)
 let clear d =
-  d.args <- [||];
   d.pos <- 0;
   d.filled <- 0;
   d.overwritten <- 0;

@@ -230,6 +230,41 @@ let test_jsonl_disabled_records_nothing () =
   with_jsonl_dump (fun lines ->
       Alcotest.(check int) "empty dump" 0 (List.length lines))
 
+(* The per-slot args array outlives [enable]; a second run's events
+   without args — instants, and causal events written through
+   [record_causal] — land on the slots the first run filled with args
+   and must still decode with none. *)
+let test_ring_args_do_not_survive_enable () =
+  Fun.protect
+    ~finally:(fun () ->
+      Ring.disable ();
+      Ring.reset ())
+    (fun () ->
+      let events () =
+        List.concat_map (fun (r : Ring.row) -> r.events) (snd (Ring.snapshot ()))
+      in
+      Ring.enable ();
+      for i = 1 to 8 do
+        Profile.instant "first" ~args:(fun () -> [ ("i", Json.int i) ])
+      done;
+      Ring.disable ();
+      Alcotest.(check int) "first run carries args" 8
+        (List.length (List.filter (fun (e : Ring.event) -> e.args <> []) (events ())));
+      Ring.enable ();
+      for i = 0 to 7 do
+        if i land 1 = 0 then Profile.instant "second"
+        else Causal.invoke ~obj:"second" ~trace:i ~pid:0
+      done;
+      Ring.disable ();
+      let evs = events () in
+      Alcotest.(check int) "second run recorded" 8 (List.length evs);
+      Alcotest.(check int) "causal events recorded" 4
+        (List.length (List.filter (fun (e : Ring.event) -> e.kind = Ring.Invoke) evs));
+      List.iter
+        (fun (e : Ring.event) ->
+          Alcotest.(check int) "no first-run args" 0 (List.length e.args))
+        evs)
+
 (* --- counterexamples --- *)
 
 let step = Alcotest.testable Counterexample.pp_step Stdlib.( = )
@@ -462,6 +497,8 @@ let suite =
           test_jsonl_explorer_done;
         Alcotest.test_case "disabled ring records nothing" `Quick
           test_jsonl_disabled_records_nothing;
+        Alcotest.test_case "args do not survive enable" `Quick
+          test_ring_args_do_not_survive_enable;
       ] );
     ( "obs.counterexample",
       [
