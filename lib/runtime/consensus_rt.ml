@@ -31,6 +31,21 @@ module One_shot = struct
         end
 
   let peek t = Atomic.get t
+
+  (* A tombstone is a preallocated [Some v]: retiring with it allocates
+     nothing, and once the tombstone is old the retired cell roots no
+     young block at the next minor collection. *)
+  type 'a tombstone = 'a option
+
+  let tombstone v = Some v
+
+  (* Overwrite a decided cell with [tomb].  The cell is never [None]
+     again, so no later [decide] installs a proposal: every later
+     decider returns the tombstone's value instead of the winner. *)
+  let retire t tomb =
+    match Atomic.get t with
+    | None -> invalid_arg "One_shot.retire: undecided"
+    | Some _ -> Atomic.set t tomb
 end
 
 module Tas_two = struct

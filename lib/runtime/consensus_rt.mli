@@ -8,6 +8,17 @@ module One_shot : sig
   val make : unit -> 'a t
   val decide : 'a t -> 'a -> 'a
   val peek : 'a t -> 'a option
+
+  (** A preallocated decision a decided cell can be overwritten with. *)
+  type 'a tombstone
+
+  val tombstone : 'a -> 'a tombstone
+
+  (** [retire t tomb] overwrites the decided cell [t] with [tomb]: the
+      cell drops its reference to the winner, and every later {!decide}
+      returns the tombstone's value and installs nothing.  Raises
+      [Invalid_argument] when [t] is undecided. *)
+  val retire : 'a t -> 'a tombstone -> unit
 end
 
 (** Two-process consensus from test-and-set (Theorem 4). *)

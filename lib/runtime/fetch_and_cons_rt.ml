@@ -50,31 +50,36 @@ module Cas_based = struct
 end
 
 module Swap_based = struct
-  type 'a link = Unlinked | Linked of 'a cell option
+  (* One link type serves both the anchor and every cell's cdr, so the
+     [Cons] block the exchange installs in the anchor is the very block
+     the next cell's cdr ends up holding: a cell costs 3 blocks (the
+     cell, its cdr's [Atomic.t], its [Cons]) rather than 4. *)
+  type 'a link = Unlinked | Nil | Cons of 'a cell
   and 'a cell = { value : 'a; next : 'a link Atomic.t }
 
-  type 'a t = { anchor : 'a cell option Atomic.t }
+  type 'a t = { anchor : 'a link Atomic.t }
 
-  let make () = { anchor = Atomic.make None }
+  let make () = { anchor = Atomic.make Nil }
 
   (* One exchange; the previous head is the result. *)
   let fetch_and_cons_cells t x =
     let cell = { value = x; next = Atomic.make Unlinked } in
-    let old = Atomic.exchange t.anchor (Some cell) in
-    Atomic.set cell.next (Linked old);
+    let old = Atomic.exchange t.anchor (Cons cell) in
+    Atomic.set cell.next old;
     old
 
   (* Traverse a chain; a momentarily unlinked cdr means its creator is
      between its exchange and its link — wait for it. *)
   let rec to_list = function
-    | None -> []
-    | Some cell ->
+    | Nil -> []
+    | Unlinked -> assert false (* only a cdr, never the anchor, is unlinked *)
+    | Cons cell ->
         let rec follow () =
           match Atomic.get cell.next with
-          | Linked rest -> rest
           | Unlinked ->
               Domain.cpu_relax ();
               follow ()
+          | rest -> rest
         in
         cell.value :: to_list (follow ())
 

@@ -17,16 +17,16 @@ end
 (** The paper's constant-time construction: one [Atomic.exchange] on an
     anchor; the swapped-out head is the result. *)
 module Swap_based : sig
-  type 'a cell
+  type 'a link
   type 'a t
 
   val make : unit -> 'a t
 
   (** O(1): the exchange itself yields the result chain. *)
-  val fetch_and_cons_cells : 'a t -> 'a -> 'a cell option
+  val fetch_and_cons_cells : 'a t -> 'a -> 'a link
 
   (** Materialize a chain (waits out momentarily-unlinked cdrs). *)
-  val to_list : 'a cell option -> 'a list
+  val to_list : 'a link -> 'a list
 
   val fetch_and_cons : 'a t -> 'a -> 'a list
   val contents : 'a t -> 'a list

@@ -134,6 +134,11 @@ module Load = struct
     log_length : int;
     max_retained : int;  (* high-water mark of the sampled window *)
     final_watermark : int;
+    promoted_words_per_op : float;
+        (* words the clients promoted to the major heap, per completed
+           operation: what survives a minor collection — near 0 when
+           the truncated log dies young *)
+    major_collections : int;  (* during the clients' run *)
     halted : int list;
     differential_ok : bool option;  (* crash-free runs *)
     linearizable : bool option;  (* crash runs *)
@@ -147,6 +152,22 @@ module Load = struct
   (* How often each client samples [retained] (a window-bounded walk)
      into its local high-water mark. *)
   let retained_sample_period = 128
+
+  (* Run the client domains, timing them and reading the GC's
+     promoted words and major collections around them ([Gc.quick_stat]
+     counts every domain, joined ones included). *)
+  let run_clients clients client =
+    let g0 = Gc.quick_stat () in
+    let t0 = Wfs_obs.Clock.now_ns () in
+    let per_client = Primitives.run_domains clients client in
+    let duration_ns = Wfs_obs.Clock.now_ns () - t0 in
+    let g1 = Gc.quick_stat () in
+    ( per_client,
+      duration_ns,
+      g1.Gc.promoted_words -. g0.Gc.promoted_words,
+      g1.Gc.major_collections - g0.Gc.major_collections )
+
+  let per_op words ops = if ops = 0 then 0. else words /. float_of_int ops
 
   let run_crash_free ~seed ~window ?canary ~clients ~ops_per_client ~spec () =
     let h = make_handle ~window ?canary ~n:clients spec in
@@ -177,9 +198,9 @@ module Load = struct
       done;
       (ops, results, poss, lats, !max_retained)
     in
-    let t0 = Wfs_obs.Clock.now_ns () in
-    let per_client = Primitives.run_domains clients client in
-    let duration_ns = Wfs_obs.Clock.now_ns () - t0 in
+    let per_client, duration_ns, promoted, major_collections =
+      run_clients clients client
+    in
     let total = clients * ops_per_client in
     (* differential check: replay in linearization order *)
     let seq = Array.make total None in
@@ -233,6 +254,8 @@ module Load = struct
       log_length = h.length ();
       max_retained;
       final_watermark = h.watermark ();
+      promoted_words_per_op = per_op promoted total;
+      major_collections;
       halted = [];
       differential_ok = Some differential_ok;
       linearizable = None;
@@ -277,9 +300,9 @@ module Load = struct
        with Fault.Halted _ -> ());
       (!completed, !max_retained)
     in
-    let t0 = Wfs_obs.Clock.now_ns () in
-    let per_client = Primitives.run_domains clients client in
-    let duration_ns = Wfs_obs.Clock.now_ns () - t0 in
+    let per_client, duration_ns, promoted, major_collections =
+      run_clients clients client
+    in
     let halted = Fault.halted inj in
     let history = Recorder.history recorder in
     let linearizable =
@@ -306,6 +329,8 @@ module Load = struct
       log_length = h.length ();
       max_retained = List.fold_left (fun acc (_, r) -> max acc r) 0 per_client;
       final_watermark = h.watermark ();
+      promoted_words_per_op = per_op promoted total_ops;
+      major_collections;
       halted;
       differential_ok = None;
       linearizable = Some linearizable;
@@ -342,7 +367,8 @@ module Load = struct
       "@[<v>object=%s clients=%d ops/client=%d total=%d window=%d@ \
        duration=%.3fs throughput=%s ops/s@ \
        latency p50=%s p95=%s p99=%s max=%s@ \
-       log length=%d retained<=%d watermark=%d@ halted=[%a]@ \
+       log length=%d retained<=%d watermark=%d@ \
+       gc promoted=%.2f words/op major collections=%d@ halted=[%a]@ \
        differential=%s linearizable=%s@]"
       r.spec_name r.clients r.ops_per_client r.total_ops r.window
       (float_of_int r.duration_ns *. 1e-9)
@@ -351,7 +377,8 @@ module Load = struct
       (Wfs_obs.Units.ns r.lat_p95_ns)
       (Wfs_obs.Units.ns r.lat_p99_ns)
       (Wfs_obs.Units.ns r.lat_max_ns)
-      r.log_length r.max_retained r.final_watermark
+      r.log_length r.max_retained r.final_watermark r.promoted_words_per_op
+      r.major_collections
       Fmt.(list ~sep:(any "; ") int)
       r.halted
       (match r.differential_ok with

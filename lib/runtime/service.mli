@@ -59,6 +59,10 @@ module Load : sig
     log_length : int;
     max_retained : int;
     final_watermark : int;
+    promoted_words_per_op : float;
+        (** words promoted to the major heap per completed operation,
+            from [Gc.quick_stat] around the clients *)
+    major_collections : int;  (** major GC cycles during the clients' run *)
     halted : int list;
     differential_ok : bool option;  (** crash-free runs *)
     linearizable : bool option;  (** crash runs *)

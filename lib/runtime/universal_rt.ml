@@ -91,6 +91,10 @@ module M = struct
   let wf_snapshots = Counter.make "universal_rt.wait_free.snapshots"
   let wf_retained = Gauge.make "universal_rt.wait_free.retained"
   let wf_watermark = Gauge.make "universal_rt.wait_free.watermark"
+
+  (* successor decisions that read a retired cell's tombstone: a
+     stale decider whose position was already threaded (see [fill]) *)
+  let wf_tombstones = Counter.make "universal_rt.wait_free.tombstones"
 end
 
 module Lock_free (Seq : SEQ) = struct
@@ -160,11 +164,36 @@ end
    Nothing durable points backwards past a snapshot: announce
    slots are cleared by their owners, clients re-read the frontier
    every round, and the claim objects hold node *ids* (ints), so the
-   GC reclaims everything behind the last snapshot.  The reclamation
-   watermark of §4.1 — min over the processes' announced positions — is
-   exported as telemetry ([watermark]); in a GC runtime it gates
-   nothing, but it is exactly the bound below which no process can
-   still reference a node. *)
+   GC reclaims everything behind the last snapshot.
+
+   Reclamation has a second half, on the forward side.  A node's
+   successor consensus [decide_next] points at the next node; once a
+   node has been promoted to the major heap, the CAS that decides its
+   successor puts the cell in the minor GC's remembered set, and that
+   entry roots the successor — and, through each successor's own
+   [decide_next], the whole chain up to the frontier — at the next
+   minor collection, dead or not.  So the unique [advance] winner
+   retires [before.decide_next]: it overwrites the decided cell with
+   the object's preallocated tombstone, which is old and points at
+   nothing young, and the chain dies young.  Why this keeps the
+   construction correct:
+
+   - A retired cell was decided and never reads [None] again, so no
+     later proposal is installed: no position is decided twice.
+   - Retirement follows [after]'s [seq] store and the frontier CAS
+     onto [after], so a tombstone means the position behind [before]
+     is threaded.  A decider that reads it is stale exactly as one
+     that reads the winner and fills an already-threaded node: it
+     skips the fill and re-reads the frontier, which has moved on.
+   - Hence every round still either threads a position or observes
+     that one was threaded since its frontier read: Herlihy's age
+     check and ~2n-round bound, and [Causal.step_bound], are
+     unchanged.
+
+   The reclamation watermark of §4.1 — min over the processes'
+   announced positions — is exported as telemetry ([watermark]); in a
+   GC runtime it gates nothing, but it is exactly the bound below
+   which no process can still reference a node. *)
 module Wait_free (Seq : SEQ) = struct
   type op = Seq.op
   type res = Seq.res
@@ -248,6 +277,8 @@ module Wait_free (Seq : SEQ) = struct
         (* opcount last published to the ops counter (sampled, see
            [fill]) *)
     unlinked : node;  (* distinguished not-yet-linked marker *)
+    retired : node;  (* what a retired [decide_next] decides *)
+    tomb : node Consensus_rt.One_shot.tombstone;  (* [retired], boxed once *)
     announce : invoc option Atomic.t array;
     progress : int Atomic.t array;
         (* per-process announced-at position; max_int when idle *)
@@ -304,6 +335,7 @@ module Wait_free (Seq : SEQ) = struct
     (* the sentinel is born severed: the log starts truncated at its
        initial snapshot *)
     let sentinel = blank_node ~post:(Some Seq.init) in
+    let retired = blank_node ~post:None in
     {
       n;
       label;
@@ -313,6 +345,8 @@ module Wait_free (Seq : SEQ) = struct
       node_ids = Atomic.make 1;
       counted = Atomic.make 0;
       unlinked = blank_node ~post:None;
+      retired;
+      tomb = Consensus_rt.One_shot.tombstone retired;
       announce = Array.init n (fun _ -> Atomic.make None);
       progress = Array.init n (fun _ -> Atomic.make max_int);
       frontier = Atomic.make sentinel;
@@ -465,12 +499,16 @@ module Wait_free (Seq : SEQ) = struct
        winners may publish out of order, but the sums cancel and the
        counter converges to the last exchanged opcount, lagging the log
        by at most 31 positions). *)
-    if advance t after seq && seq land 31 = 0 && Wfs_obs.Metrics.hot ()
-    then begin
-      let c = after.opcount in
-      Wfs_obs.Metrics.Counter.add M.wf_ops (c - Atomic.exchange t.counted c);
-      Wfs_obs.Metrics.Histogram.observe M.wf_batch_size (after.opcount - base_ops);
-      Wfs_obs.Metrics.Gauge.set_max M.wf_log_length c
+    if advance t after seq then begin
+      (* [after] is threaded and the frontier is past [before]: drop
+         the forward link (the second half of reclamation, above) *)
+      Consensus_rt.One_shot.retire before.decide_next t.tomb;
+      if seq land 31 = 0 && Wfs_obs.Metrics.hot () then begin
+        let c = after.opcount in
+        Wfs_obs.Metrics.Counter.add M.wf_ops (c - Atomic.exchange t.counted c);
+        Wfs_obs.Metrics.Histogram.observe M.wf_batch_size (after.opcount - base_ops);
+        Wfs_obs.Metrics.Gauge.set_max M.wf_log_length c
+      end
     end
 
   (* every announced invocation not yet applied, in announce-slot
@@ -486,6 +524,14 @@ module Wait_free (Seq : SEQ) = struct
     go (t.n - 1) []
 
   let starving t ~head_seq inv = head_seq - inv.born > t.n + 1
+
+  (* A tombstone decision is a lost race on an already-threaded
+     position: there is nothing to fill *)
+  let lost_to_retirement t after =
+    let lost = after == t.retired in
+    if lost && Wfs_obs.Metrics.hot () then
+      Wfs_obs.Metrics.Counter.incr M.wf_tombstones;
+    lost
 
   (* The canonical singleton node for a starving invocation: first CAS
      wins, every helper proposes the winner.  Allocated only when the
@@ -525,7 +571,7 @@ module Wait_free (Seq : SEQ) = struct
           make_node t ~own_op:None (Array.of_list pending)
     in
     let after = Consensus_rt.One_shot.decide head.decide_next prefer in
-    fill t ~before:head after
+    if not (lost_to_retirement t after) then fill t ~before:head after
 
   let announce t ~pid ~trace ~traced op =
     let born = Atomic.get (Atomic.get t.frontier).seq in
@@ -630,7 +676,7 @@ module Wait_free (Seq : SEQ) = struct
           batch
       in
       let after = Consensus_rt.One_shot.decide head.decide_next node in
-      fill t ~before:head after;
+      if not (lost_to_retirement t after) then fill t ~before:head after;
       if after != node then
         apply_announced t ~pid ~trace ~traced ~steps0:1 ~grace:0 op
       else begin

@@ -835,6 +835,108 @@ let test_wait_free_queue_window_one () =
     true
     (WQ.retained q <= 3)
 
+(* --- retiring the successor consensus (the log's forward links) --- *)
+
+let test_one_shot_retire () =
+  let module O = Consensus_rt.One_shot in
+  let c = O.make () in
+  Alcotest.check_raises "undecided cells cannot be retired"
+    (Invalid_argument "One_shot.retire: undecided") (fun () ->
+      O.retire c (O.tombstone 0));
+  Alcotest.(check int) "first proposal wins" 1 (O.decide c 1);
+  O.retire c (O.tombstone (-1));
+  Alcotest.(check int) "a retired cell decides the tombstone" (-1) (O.decide c 2);
+  Alcotest.(check (option int)) "no later proposal is installed" (Some (-1))
+    (O.peek c)
+
+(* Retirement under contention, with the announce path forced: 4
+   domains on a queue, every 8th ticket a canary (which needs causal
+   tracing on).  Positions must be handed out exactly once, and
+   replaying the operations in position order must reproduce every
+   result.  The tombstone decisions seen are printed, not asserted:
+   how many stale deciders there are depends on timing. *)
+let test_retired_successors_stress () =
+  let module Q = Seq_objects.Queue_of_int in
+  let per_domain = 10000 in
+  List.iter
+    (fun window ->
+      let q = WQ.create ~window ~canary:8 ~n:domains () in
+      let tombstones = "universal_rt.wait_free.tombstones" in
+      let before = Option.value ~default:0 (Wfs_obs.Metrics.counter_value tombstones) in
+      Wfs_obs.Ring.enable ~sample:64 ();
+      let outputs =
+        Fun.protect
+          ~finally:(fun () ->
+            Wfs_obs.Ring.disable ();
+            Wfs_obs.Ring.reset ())
+          (fun () ->
+            Wfs_obs.Metrics.with_hot (fun () ->
+                P.run_domains domains (fun pid ->
+                    List.init per_domain (fun i ->
+                        let op =
+                          if i land 1 = 0 then Q.Enq ((pid * 1_000_000) + i) else Q.Deq
+                        in
+                        let res, pos = WQ.apply_pos q ~pid op in
+                        (pos, op, res)))))
+      in
+      let all = List.sort compare (List.concat outputs) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "window %d: positions exactly once" window)
+        (List.init (domains * per_domain) Fun.id)
+        (List.map (fun (pos, _, _) -> pos) all);
+      ignore
+        (List.fold_left
+           (fun st (pos, op, res) ->
+             let st', expected = Q.apply st op in
+             if expected <> res then
+               Alcotest.failf "window %d: position %d does not replay" window pos;
+             st')
+           Q.init all);
+      let after = Option.value ~default:0 (Wfs_obs.Metrics.counter_value tombstones) in
+      Printf.printf "window %d: %d tombstone decisions\n" window (after - before))
+    [ 1; 8 ]
+
+(* Truncation must let the log die young, not just become unreachable:
+   a one-client loop through a service handle promotes (almost) nothing
+   to the major heap.  [test_bounded_log_memory] cannot see this — it
+   walks back-pointers from the frontier, while a forward successor
+   link kept alive by the minor GC's remembered set promotes every
+   node. *)
+let test_log_dies_young () =
+  let open Wfs_spec in
+  let keys = List.init 64 Value.int in
+  let kv_map =
+    Collections.kv_map ~keys
+      ~values:(List.map Value.int [ 0; 1; 2 ])
+      ~initial:(List.map (fun k -> (k, Value.int 0)) keys)
+      ()
+  in
+  let ops = 200_000 in
+  List.iter
+    (fun spec ->
+      let h = Service.make_handle ~n:1 spec in
+      let menu = Array.of_list spec.Object_spec.menu in
+      let rng = Random.State.make [| 17 |] in
+      let g0 = Gc.quick_stat () in
+      for _ = 1 to ops do
+        ignore (h.Service.apply_pos ~pid:0 menu.(Random.State.int rng (Array.length menu)))
+      done;
+      let g1 = Gc.quick_stat () in
+      let per_op = (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. float_of_int ops in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f promoted words/op <= 2" spec.Object_spec.name per_op)
+        true (per_op <= 2.))
+    [ Collections.counter (); kv_map ]
+
+let retire_suite =
+  ( "runtime.retired-successors",
+    [
+      Alcotest.test_case "one-shot retire" `Quick test_one_shot_retire;
+      Alcotest.test_case "stress with canaries at windows 1 and 8" `Quick
+        test_retired_successors_stress;
+      Alcotest.test_case "the log dies young" `Quick test_log_dies_young;
+    ] )
+
 let bugfix_suite =
   ( "runtime.universal-service-fixes",
     [
@@ -849,4 +951,4 @@ let bugfix_suite =
         test_wait_free_queue_window_one;
     ] )
 
-let suite = suite @ [ bugfix_suite ]
+let suite = suite @ [ bugfix_suite; retire_suite ]
